@@ -14,9 +14,10 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use surgescope_api::{ApiService, ProtocolEra, WorldSnapshot};
 use surgescope_city::CityModel;
 use surgescope_core::calibration::placement;
-use surgescope_core::{ClientSpec, MeasuredSystem, UberSystem};
+use surgescope_core::{ClientSpec, MeasuredSystem, TaxiSystem, UberSystem};
 use surgescope_marketplace::{Marketplace, MarketplaceConfig};
-use surgescope_simcore::SimDuration;
+use surgescope_simcore::{SimDuration, SimTime};
+use surgescope_taxi::TraceGenerator;
 
 struct Counting;
 
@@ -69,6 +70,7 @@ fn sf_system_with_clients() -> (UberSystem, Vec<ClientSpec>) {
 fn tick_hot_path_allocates_zero() {
     snapshot_recapture_allocates_zero();
     steady_state_ping_path_allocates_zero();
+    taxi_ping_path_allocates_zero();
 }
 
 /// Re-capturing a snapshot of an unchanged world into an already-sized
@@ -147,4 +149,31 @@ fn steady_state_ping_path_allocates_zero() {
         clean_window,
         "no 200-tick window was allocation-free within 2000 steady-state ticks"
     );
+}
+
+/// The §3.5 taxi validation's ping: after one warm-up call has sized the
+/// k-nearest scratch and every client's block, answering the whole
+/// lattice allocates nothing, tick after tick through the evening peak.
+/// The replay's own tick (ID minting, ground-truth sets) may allocate
+/// and runs outside the counted window.
+fn taxi_ping_path_allocates_zero() {
+    let city = CityModel::manhattan_midtown();
+    let trace = TraceGenerator { taxis: 150, days: 1, ..Default::default() }.generate(&city, 7);
+    let clients = placement(&city.measurement_region, 150.0);
+    let mut sys = TaxiSystem::new(&trace, city.measurement_region.clone(), 8);
+    while sys.now() < SimTime(17 * 3600) {
+        sys.advance_tick();
+    }
+    let mut obs = Vec::new();
+    sys.ping_all_into(&clients, &mut obs);
+    let mut shown = 0;
+    for tick in 0..720 {
+        sys.advance_tick();
+        let before = allocs();
+        sys.ping_all_into(&clients, &mut obs);
+        let after = allocs();
+        assert_eq!(after - before, 0, "taxi ping tick {tick} allocated {} times", after - before);
+        shown += obs.iter().map(|b| b[0].cars.len()).sum::<usize>();
+    }
+    assert!(shown > 0, "the evening fleet should show taxis");
 }

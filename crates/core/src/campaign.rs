@@ -1152,12 +1152,14 @@ impl Campaign {
         let mut sys = TaxiSystem::new(trace, region.clone(), seed);
         let mut estimator = SupplyDemandEstimator::new(estimator_cfg, region, vec![]);
         let ticks = hours * 720;
+        let mut obs = Vec::new();
         for _ in 0..ticks {
             sys.advance_tick();
             let now = sys.now();
             let state_t = now.saturating_sub(surgescope_simcore::SimDuration::secs(5));
-            for blocks in sys.ping_all(&clients) {
-                estimator.observe(state_t, &blocks);
+            sys.ping_all_into(&clients, &mut obs);
+            for blocks in &obs {
+                estimator.observe(state_t, blocks);
             }
             estimator.end_tick(now);
         }

@@ -11,11 +11,11 @@ use crate::observe::{ClientSpec, ObservedCar, TypeObservation};
 use std::sync::{mpsc, Arc};
 use surgescope_api::{ApiService, PingConfig, PingScratch, WorldSnapshot, NEAREST_CARS_SHOWN};
 use surgescope_city::CarType;
-use surgescope_geo::{LocalProjection, Meters};
+use surgescope_geo::LocalProjection;
 use surgescope_marketplace::Marketplace;
 use surgescope_obs::{Counter, MetricsRegistry, Timer};
 use surgescope_simcore::{ticks_late, FaultOutcome, FaultPlan, SimRng, SimTime, Transport};
-use surgescope_taxi::{TaxiReplay, TaxiTrace};
+use surgescope_taxi::{path_displacement, TaxiReplay, TaxiTrace};
 
 /// Telemetry handles owned by an [`UberSystem`]: fault-outcome counters
 /// for the ping fan-out plus wall-clock timers for snapshot capture and
@@ -538,13 +538,15 @@ impl MeasuredSystem for UberSystem {
 /// validation only needs car identities and positions.
 pub struct TaxiSystem<'a> {
     replay: TaxiReplay<'a>,
+    /// k-nearest scratch reused across every client and tick.
+    scratch: Vec<(f64, u32)>,
 }
 
 impl<'a> TaxiSystem<'a> {
     /// Wraps a replay of `trace`; ground truth accumulates against
     /// `region` (pass the measurement polygon).
     pub fn new(trace: &'a TaxiTrace, region: surgescope_geo::Polygon, seed: u64) -> Self {
-        TaxiSystem { replay: TaxiReplay::new(trace, region, seed) }
+        TaxiSystem { replay: TaxiReplay::new(trace, region, seed), scratch: Vec::new() }
     }
 
     /// Access to the replay (for ground truth after the campaign).
@@ -562,33 +564,40 @@ impl MeasuredSystem for TaxiSystem<'_> {
         self.replay.now()
     }
 
+    /// Overwrites each client's single block in place; once every block
+    /// exists, a call allocates nothing.
     fn ping_all_into(&mut self, clients: &[ClientSpec], out: &mut Vec<Vec<TypeObservation>>) {
-        *out = clients
-            .iter()
-            .map(|c| {
-                let cars = self
-                    .replay
-                    .nearest(c.position, NEAREST_CARS_SHOWN)
-                    .into_iter()
-                    .map(|t| {
-                        // The taxi path stores planar metres encoded as
-                        // micro-degree LatLngs; decode symmetrically.
-                        let pts: Vec<Meters> = t
-                            .path
-                            .points()
-                            .map(|ll| Meters::new(ll.lng * 1e5, ll.lat * 1e5))
-                            .collect();
-                        let displacement = if pts.len() >= 2 {
-                            Some(pts[pts.len() - 1].sub(pts[0]))
-                        } else {
-                            None
-                        };
-                        ObservedCar { id: t.session, position: t.position, displacement }
+        out.resize_with(clients.len(), Vec::new);
+        out.truncate(clients.len());
+        for (c, blocks) in clients.iter().zip(out.iter_mut()) {
+            if blocks.len() != 1 {
+                blocks.clear();
+                blocks.push(TypeObservation {
+                    car_type: CarType::UberT,
+                    cars: Vec::with_capacity(NEAREST_CARS_SHOWN),
+                    ewt_min: 0.0,
+                    surge: 1.0,
+                });
+            }
+            let block = &mut blocks[0];
+            block.car_type = CarType::UberT;
+            block.ewt_min = 0.0;
+            block.surge = 1.0;
+            block.cars.clear();
+            let cars = &mut block.cars;
+            self.replay.for_each_nearest(
+                c.position,
+                NEAREST_CARS_SHOWN,
+                &mut self.scratch,
+                |session, position, path| {
+                    cars.push(ObservedCar {
+                        id: session,
+                        position,
+                        displacement: path_displacement(path),
                     })
-                    .collect();
-                vec![TypeObservation { car_type: CarType::UberT, cars, ewt_min: 0.0, surge: 1.0 }]
-            })
-            .collect();
+                },
+            );
+        }
     }
 }
 
@@ -597,6 +606,7 @@ mod tests {
     use super::*;
     use surgescope_api::ProtocolEra;
     use surgescope_city::CityModel;
+    use surgescope_geo::Meters;
     use surgescope_marketplace::MarketplaceConfig;
     use surgescope_simcore::SimDuration;
     use surgescope_taxi::TraceGenerator;

@@ -10,13 +10,16 @@
 //! Equality is asserted on `persist::campaign_encoded`, the canonical
 //! byte encoding in which equal bytes ⇔ deep bit-exact equality.
 
+use serde::{Serialize, Value};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicU64, Ordering};
+use surgescope_api::{ApiService, ProtocolEra, WorldSnapshot};
 use surgescope_city::CityModel;
-use surgescope_core::persist::{campaign_encoded, replay_campaign};
+use surgescope_core::persist::{campaign_encoded, campaign_to_value, replay_campaign};
 use surgescope_core::{CampaignConfig, CampaignRunner, StoreHooks};
-use surgescope_simcore::FaultPlan;
-use surgescope_store::StoreError;
+use surgescope_marketplace::{Marketplace, MarketplaceConfig};
+use surgescope_simcore::{FaultPlan, SimDuration};
+use surgescope_store::{StoreError, MAX_DEPTH};
 
 fn temp_path(tag: &str) -> PathBuf {
     static N: AtomicU64 = AtomicU64::new(0);
@@ -183,4 +186,49 @@ fn corrupted_log_fails_crc_cleanly() {
         "unexpected error {err}"
     );
     let _ = std::fs::remove_file(&log);
+}
+
+/// Nesting depth of a value: 0 for a scalar, one more than the deepest
+/// child for a sequence or map.
+fn depth(v: &Value) -> usize {
+    match v {
+        Value::Seq(items) => 1 + items.iter().map(depth).max().unwrap_or(0),
+        Value::Map(entries) => 1 + entries.iter().map(|(_, v)| depth(v)).max().unwrap_or(0),
+        _ => 0,
+    }
+}
+
+/// The deepest values the program encodes stay well inside the decoder's
+/// nesting bound, so the bound can never refuse a real file or frame.
+/// A mid-campaign checkpoint with responses in flight carries whole
+/// observation blocks inside the transport queue; the finished campaign
+/// is what the event log's last record holds; a ping response is the
+/// largest wire payload.
+#[test]
+fn encoded_values_nest_well_inside_the_decode_bound() {
+    let faults = FaultPlan { drop_chance: 0.05, delay_chance: 0.25, max_delay_secs: 30 };
+    let mut runner =
+        CampaignRunner::new(CityModel::manhattan_midtown(), &base_cfg(faults, 1)).unwrap();
+    for _ in 0..360 {
+        runner.tick().unwrap();
+    }
+    assert!(runner.in_flight() > 0, "the checkpoint must carry in-flight responses");
+    let checkpoint = depth(&runner.checkpoint_value());
+    runner.run_to_end().unwrap();
+    let campaign = depth(&campaign_to_value(&runner.finish().unwrap()));
+
+    let city = CityModel::san_francisco_downtown();
+    let center = city.projection.to_latlng(city.measurement_region.centroid());
+    let mut mp = Marketplace::new(city, MarketplaceConfig::default(), 2026);
+    mp.run_for(SimDuration::hours(1));
+    let api = ApiService::new(ProtocolEra::Apr2015, 2026);
+    let response = api.ping_config().ping_client(&WorldSnapshot::of(&mp), 1, center);
+    let wire = depth(&response.to_value());
+
+    let deepest = checkpoint.max(campaign).max(wire);
+    assert!(
+        deepest * 4 <= MAX_DEPTH,
+        "depths: checkpoint {checkpoint}, campaign {campaign}, ping response {wire}; \
+         MAX_DEPTH {MAX_DEPTH} should be at least four times the deepest"
+    );
 }

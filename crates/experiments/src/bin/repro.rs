@@ -84,8 +84,8 @@ fn resume_campaign(ckpt: &PathBuf, ctx: &RunCtx, campaigns: &CampaignCache) {
         }
         _ => StoreHooks::none(),
     };
-    let parallelism = std::thread::available_parallelism().map_or(1, |n| n.get());
-    let mut runner = CampaignRunner::resume(&state, parallelism, hooks)
+    // Serial, like every campaign `repro` runs (see `campaign_config`).
+    let mut runner = CampaignRunner::resume(&state, 1, hooks)
         .unwrap_or_else(|e| die(ckpt, &e));
     eprintln!(
         "[resume] {} campaign at tick {}/{} — running the remaining {}…",

@@ -230,7 +230,9 @@ impl CampaignCache {
             spacing_override_m: None,
             scale: ctx.scale(),
             surge_policy: surgescope_marketplace::SurgePolicy::Threshold,
-            parallelism: std::thread::available_parallelism().map_or(1, |n| n.get()),
+            // Serial ticks: `repro` gets its parallelism from the
+            // prefetch pool running whole campaigns side by side.
+            parallelism: 1,
             faults: surgescope_simcore::FaultPlan::none(),
             store: StoreHooks::none(),
         }
@@ -287,7 +289,8 @@ impl CampaignCache {
                     cfg.era
                 );
             }
-            let connections = cfg.parallelism.clamp(1, 4);
+            let connections =
+                std::thread::available_parallelism().map_or(1, |n| n.get()).clamp(1, 4);
             let mut options = RemoteOptions::default();
             if let Some(n) = ctx.remote_retries {
                 options.policy.max_retries = n;

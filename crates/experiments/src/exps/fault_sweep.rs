@@ -30,7 +30,7 @@ pub fn sweep_config(ctx: &RunCtx, drop: f64) -> CampaignConfig {
         hours,
         era: ProtocolEra::Apr2015,
         scale: 0.35,
-        parallelism: std::thread::available_parallelism().map_or(1, |n| n.get()),
+        parallelism: 1,
         faults: FaultPlan { drop_chance: drop, delay_chance: 0.10, max_delay_secs: 30 },
         ..CampaignConfig::test_default(ctx.seed ^ 0xFA01)
     }

@@ -278,4 +278,18 @@ mod tests {
             Err(WireError::Malformed(_))
         ));
     }
+
+    #[test]
+    fn nesting_past_the_codec_bound_is_malformed() {
+        // ~200 KB of one-element sequences (tag 0x07, count 1) around a
+        // null (tag 0x00): far under the frame cap, far over the depth
+        // bound. Decoding must refuse it, not overflow the stack.
+        let mut body = vec![REQ_HELLO];
+        body.extend([0x07, 0x01].repeat(100_000));
+        body.push(0x00);
+        match decode_body(&body) {
+            Err(WireError::Malformed(m)) => assert!(m.contains("nesting"), "{m}"),
+            other => panic!("expected Malformed, got {:?}", other.map(|(k, _)| k)),
+        }
+    }
 }

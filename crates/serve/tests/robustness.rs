@@ -106,6 +106,30 @@ fn malformed_body_closes_connection_with_error_count() {
 }
 
 #[test]
+fn deeply_nested_payload_is_a_frame_error_not_an_abort() {
+    let server = Server::bind("127.0.0.1:0", ServeConfig::default()).expect("bind");
+    let mut stream = connect(&server);
+    // Before HELLO: a valid-CRC frame of ~200 KB holding 100k nested
+    // one-element sequences (codec tag 0x07, count 1) around a null
+    // (tag 0x00). Decoding it recursively would overflow a worker's
+    // stack and abort the whole process.
+    let mut body = vec![wire::REQ_HELLO];
+    body.extend([0x07, 0x01].repeat(100_000));
+    body.push(0x00);
+    let mut raw = Vec::new();
+    raw.extend_from_slice(&(body.len() as u32).to_le_bytes());
+    raw.extend_from_slice(&surgescope_store::crc32::crc32(&body).to_le_bytes());
+    raw.extend_from_slice(&body);
+    stream.write_all(&raw).expect("send nested frame");
+    assert_closed(&mut stream);
+    await_count(|| server.metrics().frame_errors.get(), 1, "serve.frame_errors");
+
+    // The server is still up and answering.
+    let mut stream = connect(&server);
+    hello(&mut stream);
+}
+
+#[test]
 fn crc_flip_closes_connection_with_error_count() {
     let server = Server::bind("127.0.0.1:0", ServeConfig::default()).expect("bind");
     let mut stream = connect(&server);

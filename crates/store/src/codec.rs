@@ -14,6 +14,16 @@
 use crate::StoreError;
 use serde::Value;
 
+/// Deepest nesting of sequences and maps [`decode_value`] accepts; a
+/// scalar has depth 0 and a container one more than its deepest child.
+/// Every store file, checkpoint and wire frame decodes through
+/// [`decode_value`], so this one bound covers all of them. The deepest
+/// value the program encodes nests far less (its campaign checkpoint is
+/// checked against this bound in `core`'s tests); the bound exists so a
+/// hostile payload of nested one-element sequences is refused with an
+/// error instead of recursing the decoder off the end of its stack.
+pub const MAX_DEPTH: usize = 64;
+
 /// Type tags. A tag not listed here is a decode error, which is how
 /// corruption inside a CRC-valid record (impossible short of a bug) or a
 /// schema drift across versions surfaces.
@@ -143,8 +153,13 @@ impl<'a> Cursor<'a> {
             .map_err(|_| StoreError::Codec("invalid UTF-8 in string".into()))
     }
 
-    fn value(&mut self) -> Result<Value, StoreError> {
-        match self.byte()? {
+    /// Decodes one value nested inside `depth` containers.
+    fn value(&mut self, depth: usize) -> Result<Value, StoreError> {
+        let tag = self.byte()?;
+        if matches!(tag, TAG_SEQ | TAG_MAP) && depth == MAX_DEPTH {
+            return Err(StoreError::Codec(format!("nesting deeper than {MAX_DEPTH}")));
+        }
+        match tag {
             TAG_NULL => Ok(Value::Null),
             TAG_FALSE => Ok(Value::Bool(false)),
             TAG_TRUE => Ok(Value::Bool(true)),
@@ -165,7 +180,7 @@ impl<'a> Cursor<'a> {
                 }
                 let mut items = Vec::with_capacity(n);
                 for _ in 0..n {
-                    items.push(self.value()?);
+                    items.push(self.value(depth + 1)?);
                 }
                 Ok(Value::Seq(items))
             }
@@ -177,7 +192,7 @@ impl<'a> Cursor<'a> {
                 let mut entries = Vec::with_capacity(n);
                 for _ in 0..n {
                     let k = self.string()?;
-                    let v = self.value()?;
+                    let v = self.value(depth + 1)?;
                     entries.push((k, v));
                 }
                 Ok(Value::Map(entries))
@@ -190,7 +205,7 @@ impl<'a> Cursor<'a> {
 /// Decodes one value from `buf`, requiring the buffer to be fully consumed.
 pub fn decode_value(buf: &[u8]) -> Result<Value, StoreError> {
     let mut c = Cursor { buf, pos: 0 };
-    let v = c.value()?;
+    let v = c.value(0)?;
     if c.pos != buf.len() {
         return Err(StoreError::Codec(format!(
             "{} trailing bytes after value",
@@ -276,6 +291,43 @@ mod tests {
         // A sequence claiming more elements than bytes remain must not
         // attempt a huge allocation.
         assert!(decode_value(&[TAG_SEQ, 0xFF, 0xFF, 0xFF, 0xFF, 0x0F]).is_err());
+    }
+
+    /// `levels` one-element sequences around a null, encoded by hand so
+    /// no deep `Value` is ever built (or recursively dropped).
+    fn nested_seqs(levels: usize) -> Vec<u8> {
+        let mut bytes = [TAG_SEQ, 1].repeat(levels);
+        bytes.push(TAG_NULL);
+        bytes
+    }
+
+    #[test]
+    fn nesting_at_the_depth_limit_decodes() {
+        let mut v = decode_value(&nested_seqs(MAX_DEPTH)).expect("depth MAX_DEPTH decodes");
+        for level in 0..MAX_DEPTH {
+            v = match v {
+                Value::Seq(mut items) if items.len() == 1 => items.pop().unwrap(),
+                other => panic!("level {level}: expected a one-element sequence, got {other:?}"),
+            };
+        }
+        assert_eq!(v, Value::Null);
+        // A map at the limit counts the same as a sequence.
+        let mut map = [TAG_SEQ, 1].repeat(MAX_DEPTH - 1);
+        map.extend_from_slice(&[TAG_MAP, 1, 1, b'k', TAG_NULL]);
+        assert!(decode_value(&map).is_ok());
+    }
+
+    #[test]
+    fn nesting_past_the_depth_limit_is_a_codec_error() {
+        for bytes in [nested_seqs(MAX_DEPTH + 1), nested_seqs(100_000)] {
+            match decode_value(&bytes) {
+                Err(StoreError::Codec(m)) => assert!(m.contains("nesting"), "{m}"),
+                other => panic!("expected a nesting error, got {other:?}"),
+            }
+        }
+        let mut map = [TAG_SEQ, 1].repeat(MAX_DEPTH);
+        map.extend_from_slice(&[TAG_MAP, 1, 1, b'k', TAG_NULL]);
+        assert!(matches!(decode_value(&map), Err(StoreError::Codec(_))));
     }
 
     #[test]

@@ -34,7 +34,7 @@ pub mod hash;
 pub mod log;
 
 pub use checkpoint::{read_checkpoint, write_checkpoint};
-pub use codec::{decode_value, encode_to_vec, encode_value};
+pub use codec::{decode_value, encode_to_vec, encode_value, MAX_DEPTH};
 pub use hash::{fnv1a64, hash_of, value_hash};
 pub use log::{LogHeader, LogIter, LogReader, LogWriter, RawRecord};
 

@@ -21,5 +21,5 @@
 mod replay;
 mod trace;
 
-pub use replay::{TaxiGroundTruth, TaxiReplay, VisibleTaxi, IDLE_CUTOFF_SECS};
+pub use replay::{path_displacement, TaxiGroundTruth, TaxiReplay, IDLE_CUTOFF_SECS};
 pub use trace::{TaxiRide, TaxiTrace, TraceGenerator};

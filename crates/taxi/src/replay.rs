@@ -13,22 +13,11 @@
 //!   available** again.
 
 use crate::trace::TaxiTrace;
-use surgescope_geo::{Meters, PathVector, Polygon};
+use surgescope_geo::{LatLng, Meters, PathVector, Polygon};
 use surgescope_simcore::{SimDuration, SimRng, SimTime};
 
 /// Idle gaps longer than this are treated as the taxi going offline.
 pub const IDLE_CUTOFF_SECS: u64 = 3 * 3600;
-
-/// A taxi as the replay API exposes it.
-#[derive(Debug, Clone)]
-pub struct VisibleTaxi {
-    /// Randomized per-availability-period ID.
-    pub session: u64,
-    /// Current interpolated position.
-    pub position: Meters,
-    /// Recent positions (planar), oldest first.
-    pub path: PathVector,
-}
 
 /// Ground truth accumulated during a replay, per 5-minute interval.
 #[derive(Debug, Clone, Default)]
@@ -174,9 +163,7 @@ impl<'a> TaxiReplay<'a> {
             // taxis works in planar space directly, so the path here is
             // informational. We store positions via a tiny equirect trick:
             // treat metres as micro-degrees. (Only relative motion is used.)
-            state
-                .path
-                .push(surgescope_geo::LatLng::new(position.y * 1e-5, position.x * 1e-5));
+            state.path.push(LatLng::new(position.y * 1e-5, position.x * 1e-5));
             if matches!(phase, Phase::Available(_)) && self.region.contains(position) {
                 let session = self.taxis[ti].session;
                 self.acc_supply.insert(session);
@@ -227,25 +214,53 @@ impl<'a> TaxiReplay<'a> {
         (Phase::Offline, r.dropoff)
     }
 
-    /// All currently available taxis.
-    pub fn visible(&self) -> Vec<VisibleTaxi> {
-        self.taxis
-            .iter()
-            .filter(|s| matches!(s.phase, Phase::Available(_)))
-            .map(|s| VisibleTaxi { session: s.session, position: s.position, path: s.path.clone() })
-            .collect()
+    /// pingClient analogue: visits the `k` nearest available taxis to
+    /// `pos`, nearest first, as `(session, position, path)`. Equal
+    /// distances go to the lower taxi index, which is the order a stable
+    /// sort of the available taxis by distance gives. `scratch` holds one
+    /// `(dist², taxi index)` per available taxi; passing the same buffer
+    /// back in makes every call after the first allocation-free.
+    pub fn for_each_nearest(
+        &self,
+        pos: Meters,
+        k: usize,
+        scratch: &mut Vec<(f64, u32)>,
+        mut visit: impl FnMut(u64, Meters, &PathVector),
+    ) {
+        scratch.clear();
+        scratch.reserve(self.taxis.len());
+        scratch.extend(
+            self.taxis
+                .iter()
+                .enumerate()
+                .filter(|(_, s)| matches!(s.phase, Phase::Available(_)))
+                .map(|(i, s)| (s.position.dist2(pos), i as u32)),
+        );
+        let k = k.min(scratch.len());
+        if k == 0 {
+            return;
+        }
+        let order = |a: &(f64, u32), b: &(f64, u32)| a.0.total_cmp(&b.0).then(a.1.cmp(&b.1));
+        if k < scratch.len() {
+            scratch.select_nth_unstable_by(k - 1, order);
+        }
+        let nearest = &mut scratch[..k];
+        nearest.sort_unstable_by(order);
+        for &(_, i) in nearest.iter() {
+            let t = &self.taxis[i as usize];
+            visit(t.session, t.position, &t.path);
+        }
     }
+}
 
-    /// pingClient analogue: the `k` nearest available taxis to `pos`.
-    pub fn nearest(&self, pos: Meters, k: usize) -> Vec<VisibleTaxi> {
-        let mut v: Vec<(f64, VisibleTaxi)> = self
-            .visible()
-            .into_iter()
-            .map(|t| (t.position.dist2(pos), t))
-            .collect();
-        v.sort_by(|a, b| a.0.total_cmp(&b.0));
-        v.truncate(k);
-        v.into_iter().map(|(_, t)| t).collect()
+/// Net displacement along a taxi path, newest point minus oldest, in
+/// planar metres; `None` with fewer than two points. Decodes the
+/// micro-degree encoding [`TaxiReplay`] stores paths in.
+pub fn path_displacement(path: &PathVector) -> Option<Meters> {
+    let metres = |ll: LatLng| Meters::new(ll.lng * 1e5, ll.lat * 1e5);
+    match (path.points().next(), path.last()) {
+        (Some(first), Some(last)) if path.len() >= 2 => Some(metres(last).sub(metres(first))),
+        _ => None,
     }
 }
 
@@ -293,12 +308,78 @@ mod tests {
         Polygon::rect(Meters::new(-1000.0, -1000.0), Meters::new(2000.0, 2000.0))
     }
 
+    /// What one ping shows of a taxi: session, position, displacement.
+    type Seen = (u64, Meters, Option<Meters>);
+
+    /// The kernel's answer, collected.
+    fn kernel(rp: &TaxiReplay, pos: Meters, k: usize) -> Vec<Seen> {
+        let mut out = Vec::new();
+        rp.for_each_nearest(pos, k, &mut Vec::new(), |session, position, path| {
+            out.push((session, position, path_displacement(path)))
+        });
+        out
+    }
+
+    /// Every available taxi, nearest the origin first.
+    fn visible(rp: &TaxiReplay) -> Vec<Seen> {
+        kernel(rp, Meters::new(0.0, 0.0), usize::MAX)
+    }
+
+    /// Reference k-nearest: clone the available taxis in index order,
+    /// stable-sort by squared distance, keep `k`. The displacement comes
+    /// from the fully decoded path, newest minus oldest.
+    fn reference(rp: &TaxiReplay, pos: Meters, k: usize) -> Vec<Seen> {
+        let mut v: Vec<(f64, &TaxiState)> = rp
+            .taxis
+            .iter()
+            .filter(|s| matches!(s.phase, Phase::Available(_)))
+            .map(|s| (s.position.dist2(pos), s))
+            .collect();
+        v.sort_by(|a, b| a.0.total_cmp(&b.0));
+        v.truncate(k);
+        v.into_iter()
+            .map(|(_, s)| {
+                let pts: Vec<Meters> =
+                    s.path.points().map(|ll| Meters::new(ll.lng * 1e5, ll.lat * 1e5)).collect();
+                let disp = (pts.len() >= 2).then(|| pts[pts.len() - 1].sub(pts[0]));
+                (s.session, s.position, disp)
+            })
+            .collect()
+    }
+
+    /// Bit patterns, so NaN and signed zeros compare exactly.
+    fn bits(v: &[Seen]) -> Vec<(u64, [u64; 2], Option<[u64; 2]>)> {
+        let b = |m: Meters| [m.x.to_bits(), m.y.to_bits()];
+        v.iter().map(|&(s, p, d)| (s, b(p), d.map(b))).collect()
+    }
+
+    /// A replay whose taxis are all available at the given positions.
+    fn parked(positions: &[Meters]) -> TaxiTrace {
+        // Each taxi drops off at its position at t=0 and picks up there
+        // again an hour later, so it idles in place in between.
+        let rides = positions
+            .iter()
+            .enumerate()
+            .flat_map(|(i, &p)| {
+                let ride = |at: u64| TaxiRide {
+                    taxi: i as u32,
+                    pickup_at: SimTime(at),
+                    pickup: p,
+                    dropoff_at: SimTime(at + 5),
+                    dropoff: p,
+                };
+                [ride(0), ride(3600)]
+            })
+            .collect();
+        TaxiTrace { rides, taxi_count: positions.len() as u32 }
+    }
+
     #[test]
     fn invisible_before_first_pickup() {
         let trace = hand_trace();
         let mut rp = TaxiReplay::new(&trace, region(), 1);
         rp.run_until(SimTime(300));
-        assert!(rp.visible().is_empty());
+        assert!(visible(&rp).is_empty());
     }
 
     #[test]
@@ -306,9 +387,9 @@ mod tests {
         let trace = hand_trace();
         let mut rp = TaxiReplay::new(&trace, region(), 1);
         rp.run_until(SimTime(900)); // mid-ride 1
-        assert!(rp.visible().is_empty(), "booked taxi must be invisible");
+        assert!(visible(&rp).is_empty(), "booked taxi must be invisible");
         rp.run_until(SimTime(1500)); // idle gap between rides
-        let v = rp.visible();
+        let v = visible(&rp);
         assert_eq!(v.len(), 1, "idle taxi visible in the gap");
     }
 
@@ -318,8 +399,8 @@ mod tests {
         let mut rp = TaxiReplay::new(&trace, region(), 1);
         // Gap runs 1200 → 1800, dropoff (600,0) → next pickup (600,600).
         rp.run_until(SimTime(1500));
-        let v = rp.visible();
-        let p = v[0].position;
+        let v = visible(&rp);
+        let p = v[0].1;
         assert!((p.x - 600.0).abs() < 1e-9);
         assert!((p.y - 300.0).abs() < 15.0, "midway, got {p:?}");
     }
@@ -329,7 +410,7 @@ mod tests {
         let trace = hand_trace();
         let mut rp = TaxiReplay::new(&trace, region(), 1);
         rp.run_until(SimTime(2400 + 3600)); // one hour into the 4 h gap
-        assert!(rp.visible().is_empty(), "gap exceeds idle cutoff");
+        assert!(visible(&rp).is_empty(), "gap exceeds idle cutoff");
     }
 
     #[test]
@@ -337,7 +418,7 @@ mod tests {
         let trace = hand_trace();
         let mut rp = TaxiReplay::new(&trace, region(), 1);
         rp.run_until(SimTime(1500));
-        let s1 = rp.visible()[0].session;
+        let s1 = visible(&rp)[0].0;
         // Next availability period is during ride 3's... there is none
         // after ride 3 (last ride), so check the pre-ride-2 period is the
         // same session, then compare across gap: taxi becomes available
@@ -351,8 +432,8 @@ mod tests {
         let horizon = SimTime(86_400);
         while rp2.now() < horizon {
             rp2.tick();
-            for t in rp2.visible() {
-                seen.insert(t.session);
+            for t in visible(&rp2) {
+                seen.insert(t.0);
             }
         }
         // Far more sessions than taxis ⇒ IDs rotate per availability.
@@ -377,17 +458,17 @@ mod tests {
     }
 
     #[test]
-    fn nearest_returns_k_sorted() {
+    fn kernel_returns_k_sorted() {
         let city = CityModel::manhattan_midtown();
         let gen = TraceGenerator { taxis: 120, days: 1, ..Default::default() };
         let trace = gen.generate(&city, 9);
         let mut rp = TaxiReplay::new(&trace, city.measurement_region.clone(), 4);
         rp.run_until(SimTime(19 * 3600)); // evening peak
         let pos = city.measurement_region.centroid();
-        let near = rp.nearest(pos, 8);
+        let near = kernel(&rp, pos, 8);
         assert!(!near.is_empty());
         assert!(near.len() <= 8);
-        let d: Vec<f64> = near.iter().map(|t| t.position.dist(pos)).collect();
+        let d: Vec<f64> = near.iter().map(|t| t.1.dist(pos)).collect();
         for w in d.windows(2) {
             assert!(w[0] <= w[1] + 1e-9);
         }
@@ -405,5 +486,81 @@ mod tests {
         let evening: u32 = truth.supply[222..240].iter().sum(); // ~18:30–20:00
         let dawn: u32 = truth.supply[54..72].iter().sum(); // ~4:30–6:00
         assert!(evening > dawn, "evening {evening} vs dawn {dawn}");
+    }
+
+    #[test]
+    fn kernel_matches_sorting_reference_across_a_day() {
+        let city = CityModel::manhattan_midtown();
+        let gen = TraceGenerator { taxis: 150, days: 1, ..Default::default() };
+        let trace = gen.generate(&city, 0x7A51);
+        let region = city.measurement_region.clone();
+        let clients: Vec<Meters> = surgescope_geo::grid::cover_polygon(&region, 150.0)
+            .into_iter()
+            .map(|slot| slot.position)
+            .collect();
+        let mut rp = TaxiReplay::new(&trace, region, 0x7A52);
+        let mut scratch = Vec::new();
+        let mut compared = 0;
+        // Every 20 minutes across the day, from dead of night to the peak.
+        for tick in 0..(24 * 720) {
+            rp.tick();
+            if tick % 240 != 17 {
+                continue;
+            }
+            for &pos in &clients {
+                let mut got = Vec::new();
+                rp.for_each_nearest(pos, 8, &mut scratch, |s, p, path| {
+                    got.push((s, p, path_displacement(path)))
+                });
+                let want = reference(&rp, pos, 8);
+                assert_eq!(bits(&got), bits(&want), "tick {tick}, client at {pos:?}");
+                compared += got.len();
+            }
+        }
+        assert!(compared > 10_000, "too few taxis compared: {compared}");
+    }
+
+    #[test]
+    fn equal_distances_go_to_the_lower_taxi_index() {
+        // 64 taxis on two rings around the origin: even indices 100 m
+        // out, odd ones 200 m out, eight to a spot. That many ties is
+        // enough for an unstable select or sort to shuffle them.
+        let spots = [(1.0, 0.0), (0.0, 1.0), (-1.0, 0.0), (0.0, -1.0)];
+        let positions: Vec<Meters> = (0..64)
+            .map(|i| {
+                let (x, y) = spots[(i / 2) % 4];
+                let r = if i % 2 == 0 { 100.0 } else { 200.0 };
+                Meters::new(x * r, y * r)
+            })
+            .collect();
+        let trace = parked(&positions);
+        let mut rp = TaxiReplay::new(&trace, region(), 1);
+        rp.run_until(SimTime(600));
+        let origin = Meters::new(0.0, 0.0);
+        let by_index: Vec<u64> =
+            (0..64).step_by(2).chain((1..64).step_by(2)).map(|i| rp.taxis[i].session).collect();
+        for k in [1, 7, 8, 31, 32, 33, 64] {
+            let got = kernel(&rp, origin, k);
+            assert_eq!(bits(&got), bits(&reference(&rp, origin, k)), "k = {k}");
+            assert_eq!(got.iter().map(|t| t.0).collect::<Vec<_>>(), by_index[..k], "k = {k}");
+        }
+    }
+
+    #[test]
+    fn fewer_than_k_none_and_k_zero() {
+        let trace = parked(&[
+            Meters::new(10.0, 0.0),
+            Meters::new(-5.0, 0.0),
+            Meters::new(0.0, 30.0),
+        ]);
+        let mut rp = TaxiReplay::new(&trace, region(), 1);
+        let pos = Meters::new(1.0, 1.0);
+        // Before the first tick no taxi is on the road.
+        assert!(kernel(&rp, pos, 8).is_empty(), "none available");
+        rp.run_until(SimTime(600));
+        let got = kernel(&rp, pos, 8);
+        assert_eq!(got.len(), 3, "fewer than k available: all of them");
+        assert_eq!(bits(&got), bits(&reference(&rp, pos, 8)));
+        assert!(kernel(&rp, pos, 0).is_empty(), "k = 0 visits nothing");
     }
 }
