@@ -107,8 +107,9 @@ fn solve(a: &mut [Vec<f64>], b: &mut [f64]) -> Option<Vec<f64>> {
         // Eliminate below.
         for row in (col + 1)..n {
             let f = a[row][col] / a[col][col];
-            for c in col..n {
-                a[row][c] -= f * a[col][c];
+            let (upper, lower) = a.split_at_mut(row);
+            for (x, p) in lower[0][col..n].iter_mut().zip(&upper[col][col..n]) {
+                *x -= f * p;
             }
             b[row] -= f * b[col];
         }

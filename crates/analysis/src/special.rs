@@ -25,7 +25,7 @@ pub fn ln_gamma(x: f64) -> f64 {
         return (pi / (pi * x).sin()).ln() - ln_gamma(1.0 - x);
     }
     let x = x - 1.0;
-    let mut a = 0.999_999_999_999_809_93;
+    let mut a = 0.999_999_999_999_809_9;
     for (i, &c) in COEFFS.iter().enumerate() {
         a += c / (x + (i as f64) + 1.0);
     }

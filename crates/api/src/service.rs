@@ -78,10 +78,9 @@ impl PingScratch {
 /// boundaries and outlive the tick that produced it — the fan-out
 /// worker pool and delayed-transport machinery both rely on that.
 ///
-/// It is also *reusable*: [`WorldSnapshot::capture`] re-freezes a new
-/// tick into the same shell, keeping every buffer (tier buckets, grid
-/// slabs) at capacity, so a snapshot recycled through the arena in
-/// `UberSystem` performs zero steady-state heap allocation per tick.
+/// It is also *reusable*: a [`SnapshotArena`] re-freezes each new tick
+/// into last tick's shell, keeping every buffer (tier buckets, grid slabs)
+/// at capacity, so steady-state capture performs zero heap allocation.
 pub struct WorldSnapshot {
     city: Arc<CityModel>,
     cfg: MarketplaceConfig,
@@ -104,8 +103,8 @@ pub struct WorldSnapshot {
 
 impl WorldSnapshot {
     /// Captures the marketplace state at the top of the current tick
-    /// into a fresh snapshot. Prefer [`WorldSnapshot::capture`] on a
-    /// recycled shell in per-tick loops.
+    /// into a fresh snapshot. Per-tick loops use a [`SnapshotArena`]
+    /// instead, which recycles the shell.
     pub fn of(mp: &Marketplace) -> Self {
         let mut snap = WorldSnapshot {
             city: mp.city_arc(),
@@ -124,7 +123,7 @@ impl WorldSnapshot {
     /// Re-freezes the marketplace's current tick into this snapshot **in
     /// place**, reusing the tier buckets and grid slabs. Steady state
     /// (stable tier set, fleet at its high-water mark) allocates nothing.
-    pub fn capture(&mut self, mp: &Marketplace) {
+    fn capture(&mut self, mp: &Marketplace) {
         self.city = mp.city_arc();
         self.cfg = *mp.config();
         self.now = mp.now();
@@ -179,9 +178,7 @@ impl WorldSnapshot {
 
     /// Releases every per-car handle (notably the driver-shared path
     /// `Arc`s) while keeping buffer capacity — the arena reclaim step.
-    /// Must run before the world moves: a retained path handle would turn
-    /// the driver's next append into a copy-on-write clone.
-    pub fn release_cars(&mut self) {
+    fn release_cars(&mut self) {
         for (_, v) in &mut self.by_type {
             v.clear();
         }
@@ -215,8 +212,9 @@ impl WorldSnapshot {
         self.by_type.iter().position(|(ct, _)| *ct == t)
     }
 
-    /// EWT from a resolved nearest-car position (shared by the standalone
-    /// and fused query paths — one formula, bit-identical results).
+    /// EWT from a resolved nearest-car position (shared by
+    /// [`WorldSnapshot::ewt_minutes`] and the ping path — one formula,
+    /// bit-identical results).
     fn ewt_from_nearest(&self, pos: Meters, nearest: Option<Meters>) -> f64 {
         match nearest {
             Some(car_pos) => {
@@ -233,11 +231,70 @@ impl WorldSnapshot {
     /// from the grid yields the same minimum the full scan found.
     pub fn ewt_minutes(&self, pos: Meters, t: CarType) -> f64 {
         let nearest = self.tier_index(t).and_then(|ti| {
+            // k = 0 runs only the kernel's L1 side; the empty buffers
+            // never allocate.
             self.grids[ti]
-                .nearest_l1(pos, |_| true)
+                .k_nearest_and_l1_into(pos, 0, &mut GridScratch::new(), &mut Vec::new())
                 .map(|(i, _)| self.by_type[ti].1[i].position)
         });
         self.ewt_from_nearest(pos, nearest)
+    }
+}
+
+/// The per-tick snapshot arena: this tick's [`WorldSnapshot`], captured
+/// on first use and shared by `Arc` with every consumer until the tick
+/// ends, plus last tick's shell waiting to be captured into.
+///
+/// It owns the one rule the zero-allocation tick rests on: capture into
+/// the reclaimed shell (tier buckets, grid slabs and the `Arc` box all
+/// reused), and release the driver-shared path handles before the world
+/// ticks — a retained handle would turn every driver's next path append
+/// into a copy-on-write clone. A snapshot still held elsewhere when the
+/// tick ends (a server ping racing the barrier) is not reclaimed; the next
+/// tick then captures a fresh one, with identical contents.
+#[derive(Default)]
+pub struct SnapshotArena {
+    current: Option<Arc<WorldSnapshot>>,
+    shell: Option<Arc<WorldSnapshot>>,
+}
+
+impl SnapshotArena {
+    /// An empty arena; the first [`SnapshotArena::snapshot`] captures fresh.
+    pub fn new() -> Self {
+        SnapshotArena::default()
+    }
+
+    /// Whether this tick's snapshot has been captured yet.
+    pub fn is_captured(&self) -> bool {
+        self.current.is_some()
+    }
+
+    /// This tick's snapshot of `mp`, captured on the first call after
+    /// [`SnapshotArena::release`] and shared by every later call.
+    pub fn snapshot(&mut self, mp: &Marketplace) -> Arc<WorldSnapshot> {
+        let shell = &mut self.shell;
+        Arc::clone(self.current.get_or_insert_with(|| match shell.take() {
+            Some(mut arc) => match Arc::get_mut(&mut arc) {
+                Some(snap) => {
+                    snap.capture(mp);
+                    arc
+                }
+                None => Arc::new(WorldSnapshot::of(mp)),
+            },
+            None => Arc::new(WorldSnapshot::of(mp)),
+        }))
+    }
+
+    /// Ends the tick. Call it before the world ticks: this tick's snapshot
+    /// becomes the next shell, with its car handles released, if nothing
+    /// else still holds it.
+    pub fn release(&mut self) {
+        if let Some(mut arc) = self.current.take() {
+            if let Some(snap) = Arc::get_mut(&mut arc) {
+                snap.release_cars();
+                self.shell = Some(arc);
+            }
+        }
     }
 }
 
@@ -751,6 +808,38 @@ mod tests {
         for (p, q) in xa.cars.iter().zip(&xb.cars) {
             let d = surgescope_geo::haversine_m(p.position, q.position);
             assert!(d < 500.0, "perturbation implausibly large: {d} m");
+        }
+    }
+
+    /// A snapshot still held across the advance (a server `PING` racing
+    /// the lockstep barrier) is not reclaimed: the next tick is a fresh
+    /// capture, and it answers exactly like a twin world's capture into
+    /// its recycled shell.
+    #[test]
+    fn held_snapshot_forces_a_fresh_capture_with_identical_answers() {
+        let (mut held_mp, mut twin_mp) = (busy_world(), busy_world());
+        let (mut held, mut twin) = (SnapshotArena::new(), SnapshotArena::new());
+        let api = ApiService::new(ProtocolEra::Apr2015, 1);
+        let loc = center(&held_mp);
+        for tick in 0..3 {
+            let racing = held.snapshot(&held_mp);
+            let twin_shell = Arc::as_ptr(&twin.snapshot(&twin_mp));
+            held.release();
+            held_mp.tick();
+            twin.release();
+            twin_mp.tick();
+            let fresh = held.snapshot(&held_mp);
+            let recycled = twin.snapshot(&twin_mp);
+            assert!(!Arc::ptr_eq(&fresh, &racing), "tick {tick}: held snapshot recaptured");
+            assert_eq!(Arc::as_ptr(&recycled), twin_shell, "tick {tick}: shell not recycled");
+            assert_eq!(fresh.now(), racing.now() + SimDuration::secs(5));
+            for key in 0..4 {
+                assert_eq!(
+                    api.ping_client(&fresh, key, loc),
+                    api.ping_client(&recycled, key, loc),
+                    "tick {tick} client {key}"
+                );
+            }
         }
     }
 

@@ -1,16 +1,18 @@
 //! Benchmarks for the spatial bucket grid and the parallel ping fan-out.
 //!
-//! `spatial_grid` compares the expanding-ring queries against the
-//! brute-force scans they replaced, at tier-inventory sizes typical of a
+//! `spatial_grid` compares the grid's fused ring-search kernel (nearest-8
+//! plus L1-nearest, and L1-nearest alone at `k = 0`) against the
+//! brute-force scans it replaced, at tier-inventory sizes typical of a
 //! scaled SF world. `ping_all_sf` measures the whole per-tick measurement
-//! hot loop (snapshot + every client ping) at 1/2/4 worker threads.
+//! hot loop (snapshot + every client ping into a reused buffer) at 1/2/4
+//! worker threads.
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use std::hint::black_box;
 use surgescope_api::{ApiService, ProtocolEra};
 use surgescope_city::CityModel;
 use surgescope_core::{ClientSpec, MeasuredSystem, UberSystem};
-use surgescope_geo::{Meters, SpatialGrid};
+use surgescope_geo::{GridScratch, Meters, SpatialGrid};
 use surgescope_marketplace::{Marketplace, MarketplaceConfig};
 use surgescope_simcore::{SimDuration, SimRng};
 
@@ -48,11 +50,12 @@ fn bench_spatial_grid(c: &mut Criterion) {
         let pts = scatter(n, 7);
         let grid = SpatialGrid::build_auto(pts.clone());
         let queries: Vec<Meters> = scatter(64, 8).into_iter().map(|(p, _)| p).collect();
+        let (mut scratch, mut out) = (GridScratch::new(), Vec::new());
 
-        g.bench_function(&format!("k_nearest8_grid_n{n}"), |b| {
+        g.bench_function(&format!("k_nearest8_and_l1_grid_n{n}"), |b| {
             b.iter(|| {
                 for &q in &queries {
-                    black_box(grid.k_nearest(q, 8));
+                    black_box(grid.k_nearest_and_l1_into(q, 8, &mut scratch, &mut out));
                 }
             })
         });
@@ -66,7 +69,7 @@ fn bench_spatial_grid(c: &mut Criterion) {
         g.bench_function(&format!("nearest_l1_grid_n{n}"), |b| {
             b.iter(|| {
                 for &q in &queries {
-                    black_box(grid.nearest_l1(q, |_| true));
+                    black_box(grid.k_nearest_and_l1_into(q, 0, &mut scratch, &mut out));
                 }
             })
         });
@@ -111,7 +114,11 @@ fn bench_ping_fanout(c: &mut Criterion) {
     for &threads in &[1usize, 2, 4] {
         g.bench_function(&format!("threads_{threads}"), |b| {
             let (mut sys, clients) = sf_system(threads);
-            b.iter(|| black_box(sys.ping_all(&clients)))
+            let mut obs = Vec::new();
+            b.iter(|| {
+                sys.ping_all_into(&clients, &mut obs);
+                black_box(&obs);
+            })
         });
     }
 

@@ -11,7 +11,7 @@
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicU64, Ordering};
-use surgescope_api::{ApiService, ProtocolEra, WorldSnapshot};
+use surgescope_api::{ApiService, ProtocolEra, SnapshotArena};
 use surgescope_city::CityModel;
 use surgescope_core::calibration::placement;
 use surgescope_core::{ClientSpec, MeasuredSystem, TaxiSystem, UberSystem};
@@ -73,21 +73,24 @@ fn tick_hot_path_allocates_zero() {
     taxi_ping_path_allocates_zero();
 }
 
-/// Re-capturing a snapshot of an unchanged world into an already-sized
-/// arena allocates nothing — the tier buckets, car vectors, grid slabs
-/// and surge `Arc`s are all reused in place.
+/// Re-capturing a snapshot of an unchanged world through an already-sized
+/// `SnapshotArena` allocates nothing — the tier buckets, car vectors, grid
+/// slabs, surge `Arc`s and the `Arc` box itself are all reused in place.
 fn snapshot_recapture_allocates_zero() {
     let (sys, _clients) = sf_system_with_clients();
-    let mut snap = WorldSnapshot::of(&sys.marketplace);
-    // One warm re-capture: the first pass after construction reserves
-    // every bucket to the fleet-total high-water hint (a one-time cost);
-    // from then on the shell is at capacity.
-    snap.release_cars();
-    snap.capture(&sys.marketplace);
+    let mut arena = SnapshotArena::new();
+    // The first capture is fresh; the second, the first into the
+    // reclaimed shell, reserves every bucket to the fleet-total
+    // high-water hint (a one-time cost). From then on the shell is at
+    // capacity.
+    for _ in 0..2 {
+        drop(arena.snapshot(&sys.marketplace));
+        arena.release();
+    }
     for round in 0..50 {
         let before = allocs();
-        snap.release_cars();
-        snap.capture(&sys.marketplace);
+        drop(arena.snapshot(&sys.marketplace));
+        arena.release();
         let after = allocs();
         assert_eq!(
             after - before,

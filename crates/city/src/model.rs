@@ -139,7 +139,7 @@ impl CityModel {
 
     /// Whether two areas share a border.
     pub fn areas_adjacent(&self, a: AreaId, b: AreaId) -> bool {
-        self.adjacency.get(a.0).map_or(false, |v| v.contains(&b))
+        self.adjacency.get(a.0).is_some_and(|v| v.contains(&b))
     }
 
     /// Samples a point inside the service region, biased toward hotspots:

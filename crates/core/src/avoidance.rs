@@ -88,7 +88,7 @@ pub fn evaluate(
                     }
                     let walk = walk_minutes_to_area(city, spec.position, a);
                     let ewt = api_ewt[a][iv] as f64;
-                    if walk <= ewt && best.map_or(true, |(bm, _)| ma < bm) {
+                    if walk <= ewt && best.is_none_or(|(bm, _)| ma < bm) {
                         best = Some((ma, walk));
                     }
                 }

@@ -46,9 +46,10 @@ pub fn determinism_check<S: MeasuredSystem>(
     let clients: Vec<ClientSpec> =
         (0..n_clients).map(|i| ClientSpec { key: i as u64, position }).collect();
     let mut divergent = 0;
+    let mut obs = Vec::new();
     for _ in 0..ticks {
         sys.advance_tick();
-        let obs = sys.ping_all(&clients);
+        sys.ping_all_into(&clients, &mut obs);
         let baseline = &obs[0];
         if obs[1..].iter().any(|o| o != baseline) {
             divergent += 1;
@@ -71,9 +72,11 @@ pub fn surge_induction_fraction<S: MeasuredSystem>(
         (0..n_clients).map(|i| ClientSpec { key: i as u64, position }).collect();
     let mut surged = 0usize;
     let mut total = 0usize;
+    let mut obs = Vec::new();
     for _ in 0..ticks {
         sys.advance_tick();
-        for blocks in sys.ping_all(&clients) {
+        sys.ping_all_into(&clients, &mut obs);
+        for blocks in &obs {
             if let Some(x) = blocks.iter().find(|b| b.car_type == CarType::UberX) {
                 total += 1;
                 if x.surge > 1.0 {
@@ -117,6 +120,7 @@ pub fn visibility_radius<S: MeasuredSystem>(
     };
 
     let mut ever_shared = false;
+    let mut obs = Vec::new();
     for step in 0..max_steps {
         let d = STEP_M * step as f64;
         let clients: Vec<ClientSpec> = dirs
@@ -128,7 +132,7 @@ pub fn visibility_radius<S: MeasuredSystem>(
             })
             .collect();
         sys.advance_tick();
-        let obs = sys.ping_all(&clients);
+        sys.ping_all_into(&clients, &mut obs);
         let mut shared = visible_ids(&obs[0]);
         for o in &obs[1..] {
             let ids = visible_ids(o);

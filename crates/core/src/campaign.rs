@@ -272,6 +272,9 @@ const PROBE_OFFSET_SECS: u64 = 45;
 /// interval API probes; every byte the runner accumulates is identical
 /// across the two (that is the serving layer's determinism contract,
 /// regression-locked by the lockstep integration tests).
+// One backend per campaign, built once and never moved on the tick path,
+// so the size gap between the variants costs nothing worth a box.
+#[allow(clippy::large_enum_variant)]
 enum SystemBackend {
     /// Everything in this process: [`UberSystem`] over the marketplace.
     Local(UberSystem),
@@ -481,12 +484,13 @@ fn scale_city(city: &mut CityModel, scale: f64) {
     }
 }
 
+/// Client lattice, each client's area, area polygons, area adjacency and
+/// area centroids.
+type Geometry = (Vec<ClientSpec>, Vec<Option<usize>>, Vec<Polygon>, Vec<Vec<usize>>, Vec<Meters>);
+
 /// Client lattice and surge-area geometry, derived deterministically from
 /// the (post-scale) city and config — never serialized.
-fn geometry(
-    city: &CityModel,
-    cfg: &CampaignConfig,
-) -> (Vec<ClientSpec>, Vec<Option<usize>>, Vec<Polygon>, Vec<Vec<usize>>, Vec<Meters>) {
+fn geometry(city: &CityModel, cfg: &CampaignConfig) -> Geometry {
     let spacing = cfg.spacing_override_m.unwrap_or(city.client_spacing_m);
     let clients = placement(&city.measurement_region, spacing);
     let client_area: Vec<Option<usize>> =
@@ -813,12 +817,12 @@ impl CampaignRunner {
             }
         }
 
-        if self.log.is_some() {
+        if let Some(log) = &mut self.log {
             let t = self.ticks_done;
             let surge_row: Vec<f32> = self.client_surge.iter().map(|s| s[t]).collect();
             let ewt_row: Vec<f32> = self.client_ewt.iter().map(|s| s[t]).collect();
             let rec = persist::tick_record(&surge_row, &ewt_row);
-            self.log.as_mut().unwrap().append(persist::REC_TICK, &rec)?;
+            log.append(persist::REC_TICK, &rec)?;
         }
         self.ticks_done += 1;
         self.metrics.ticks.incr();
@@ -838,7 +842,7 @@ impl CampaignRunner {
         while self.ticks_done < self.ticks_total {
             self.tick()?;
             if let Some(k) = cadence {
-                if self.ticks_done % k == 0 && self.ticks_done < self.ticks_total {
+                if self.ticks_done.is_multiple_of(k) && self.ticks_done < self.ticks_total {
                     self.write_checkpoint()?;
                 }
             }

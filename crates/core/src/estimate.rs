@@ -250,7 +250,7 @@ impl SupplyDemandEstimator {
                 || self.region.distance_to_boundary(car.last_pos) <= self.cfg.edge_margin_m;
             let outbound = match car.last_displacement {
                 Some(d) if d.norm() > 1.0 => {
-                    let prev = car.last_pos.sub(d);
+                    let prev = car.last_pos - d;
                     self.region.distance_to_boundary(car.last_pos)
                         < self.region.distance_to_boundary(prev)
                 }

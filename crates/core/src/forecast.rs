@@ -112,9 +112,12 @@ pub fn fit(rows: &[Vec<f64>], ys: &[f64]) -> Option<ForecastFit> {
     })
 }
 
+/// One area's per-interval `(supply, demand, ewt, surge)` series.
+pub type AreaSeries = (Vec<u32>, Vec<u32>, Vec<f32>, Vec<f32>);
+
 /// Convenience: builds rows for several areas, concatenates, fits.
 pub fn fit_city(
-    per_area: &[(Vec<u32>, Vec<u32>, Vec<f32>, Vec<f32>)],
+    per_area: &[AreaSeries],
     filter: ModelFilter,
 ) -> Option<ForecastFit> {
     let mut rows = Vec::new();

@@ -165,7 +165,7 @@ fn read_reply<S: Read>(stream: &mut S) -> io::Result<(u8, Value)> {
             .ok()
             .and_then(|v| String::from_value(v).ok())
             .unwrap_or_else(|| "unspecified server error".into());
-        return Err(io::Error::new(io::ErrorKind::Other, format!("server: {msg}")));
+        return Err(io::Error::other(format!("server: {msg}")));
     }
     Ok((kind, value))
 }
@@ -287,13 +287,10 @@ fn with_retry<T>(
         }
         loop {
             if attempts >= ctx.policy.max_retries {
-                return Err(io::Error::new(
-                    io::ErrorKind::Other,
-                    format!(
-                        "circuit breaker open: retry budget of {} exhausted (last: {last})",
-                        ctx.policy.max_retries
-                    ),
-                ));
+                return Err(io::Error::other(format!(
+                    "circuit breaker open: retry budget of {} exhausted (last: {last})",
+                    ctx.policy.max_retries
+                )));
             }
             attempts += 1;
             ctx.res.retries.incr();
@@ -447,7 +444,7 @@ impl RemoteMeasuredSystem {
     pub fn fault(&self) -> Option<io::Error> {
         self.broken
             .as_ref()
-            .map(|m| io::Error::new(io::ErrorKind::Other, m.clone()))
+            .map(|m| io::Error::other(m.clone()))
     }
 
     fn trip(&mut self, e: &io::Error) {
@@ -801,8 +798,9 @@ impl MeasuredSystem for RemoteMeasuredSystem {
             // client-ordered and so is the concatenation of their
             // delayed lists.
             let ctx = &ctx;
-            let mut results: Vec<io::Result<Vec<(usize, u64, Vec<TypeObservation>)>>> =
-                Vec::new();
+            // Per chunk: its delayed responses as (client, ticks late, blocks).
+            type Delayed = Vec<(usize, u64, Vec<TypeObservation>)>;
+            let mut results: Vec<io::Result<Delayed>> = Vec::new();
             std::thread::scope(|scope| {
                 let mut handles = Vec::new();
                 let mut rest = &mut out[..];
@@ -831,12 +829,10 @@ impl MeasuredSystem for RemoteMeasuredSystem {
                     }));
                 }
                 for h in handles {
-                    results.push(h.join().unwrap_or_else(|_| {
-                        Err(io::Error::new(
-                            io::ErrorKind::Other,
-                            "remote ping thread panicked",
-                        ))
-                    }));
+                    results.push(
+                        h.join()
+                            .unwrap_or_else(|_| Err(io::Error::other("remote ping thread panicked"))),
+                    );
                 }
             });
             results.into_iter().collect::<io::Result<Vec<_>>>().map(|chunks| {

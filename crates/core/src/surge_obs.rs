@@ -230,9 +230,7 @@ mod tests {
         // back to 1.5 at offset 100 s.
         let mut v = vec![1.5f32; tpi];
         let mut iv1 = vec![1.0f32; tpi];
-        for k in 20..25 {
-            iv1[k] = 1.5;
-        }
+        iv1[20..25].fill(1.5);
         v.extend(iv1);
         let api = vec![1.5f32, 1.0];
         let events = detect_jitter(&v, &api, T);
@@ -252,9 +250,7 @@ mod tests {
         // to 1.0 is a price drop for the lucky client.
         let mut v = vec![1.0f32; tpi];
         let mut iv1 = vec![2.0f32; tpi];
-        for k in 30..35 {
-            iv1[k] = 1.0;
-        }
+        iv1[30..35].fill(1.0);
         v.extend(iv1);
         let events = detect_jitter(&v, &[1.0, 2.0], T);
         assert_eq!(events.len(), 1);
@@ -268,9 +264,7 @@ mod tests {
         // 20 s — a delay run touching the interval start, not jitter.
         let mut v = vec![1.0f32; tpi];
         let mut iv1 = vec![2.0f32; tpi];
-        for k in 0..4 {
-            iv1[k] = 1.0;
-        }
+        iv1[..4].fill(1.0);
         v.extend(iv1);
         let events = detect_jitter(&v, &[1.0, 2.0], T);
         assert!(events.is_empty(), "delay runs must not count as jitter");
@@ -322,18 +316,14 @@ mod tests {
         // must not masquerade as a stale window.
         let mut v = vec![1.5f32; tpi];
         let mut iv1 = vec![1.0f32; tpi];
-        for k in 20..25 {
-            iv1[k] = f32::NAN;
-        }
+        iv1[20..25].fill(f32::NAN);
         v.extend(iv1);
         assert!(detect_jitter(&v, &[1.5, 1.0], T).is_empty());
         // A genuine stale window flanked by gaps is still detected.
         let mut v2 = vec![1.5f32; tpi];
         let mut iv = vec![1.0f32; tpi];
         iv[19] = f32::NAN;
-        for k in 20..25 {
-            iv[k] = 1.5;
-        }
+        iv[20..25].fill(1.5);
         iv[25] = f32::NAN;
         v2.extend(iv);
         let events = detect_jitter(&v2, &[1.5, 1.0], T);

@@ -9,7 +9,9 @@
 
 use crate::observe::{ClientSpec, ObservedCar, TypeObservation};
 use std::sync::{mpsc, Arc};
-use surgescope_api::{ApiService, PingConfig, PingScratch, WorldSnapshot, NEAREST_CARS_SHOWN};
+use surgescope_api::{
+    ApiService, PingConfig, PingScratch, SnapshotArena, WorldSnapshot, NEAREST_CARS_SHOWN,
+};
 use surgescope_city::CarType;
 use surgescope_geo::LocalProjection;
 use surgescope_marketplace::Marketplace;
@@ -51,13 +53,6 @@ pub trait MeasuredSystem {
     /// per-client block and car vectors instead of reallocating them
     /// every tick. The contents are byte-identical to a fresh buffer.
     fn ping_all_into(&mut self, clients: &[ClientSpec], out: &mut Vec<Vec<TypeObservation>>);
-
-    /// Allocating convenience wrapper around [`Self::ping_all_into`].
-    fn ping_all(&mut self, clients: &[ClientSpec]) -> Vec<Vec<TypeObservation>> {
-        let mut out = Vec::new();
-        self.ping_all_into(clients, &mut out);
-        out
-    }
 }
 
 /// The simulated ride-sharing marketplace behind its protocol layer.
@@ -75,29 +70,23 @@ pub struct UberSystem {
     faults: FaultPlan,
     fault_rng: SimRng,
     /// In-flight delayed responses, keyed by delivery tick. Drained at the
-    /// top of every `ping_all`; late arrivals append to the destination
+    /// top of every `ping_all_into`; late arrivals append to the destination
     /// client's observation vector in `(sent_tick, client)` order.
     transport: Transport<Vec<TypeObservation>>,
-    /// Worker threads for the per-client fan-out in `ping_all`; 1 means
+    /// Worker threads for the per-client fan-out in `ping_all_into`; 1 means
     /// fully serial. Any value produces bit-identical observations: fault
     /// draws happen on a serial pre-pass, each ping is a pure function
     /// of the tick snapshot written back by client index, and the
     /// transport queue is fed and drained serially in client order.
     parallelism: usize,
     /// The fan-out worker pool, created lazily on the first parallel
-    /// `ping_all` and reused for the rest of the campaign (previously a
+    /// `ping_all_into` and reused for the rest of the campaign (previously a
     /// fresh `thread::scope` spawned `parallelism` OS threads per tick).
     pool: Option<PingPool>,
-    /// Snapshot taken this tick, shared between `ping_all` and any
-    /// same-tick probes (campaign estimates, experiment price probes).
-    /// Invalidated at the top of `advance_tick`.
-    last_snap: Option<Arc<WorldSnapshot>>,
-    /// The snapshot arena: last tick's snapshot shell, reclaimed once its
-    /// refcount drops back to 1, with car handles released but every
-    /// buffer held at capacity. `tick_snapshot` re-captures into it, so
-    /// steady-state snapshot construction performs zero heap allocation
-    /// (including the `Arc` box itself).
-    arena: Option<Arc<WorldSnapshot>>,
+    /// This tick's snapshot, shared between `ping_all_into` and any
+    /// same-tick probes (campaign estimates, experiment price probes),
+    /// and recycled into next tick's by `advance_tick`.
+    snaps: SnapshotArena,
     /// Query scratch for the serial ping path (pool workers own theirs).
     scratch: PingScratch,
     /// Reused fault-outcome buffer for the serial pre-pass.
@@ -155,7 +144,20 @@ impl PingPool {
                         .iter()
                         .zip(&job.outcomes[job.start..job.end])
                     {
-                        out.push(ping_one(&job.ping, &job.snap, &job.proj, c, oc, &mut scratch));
+                        // A fresh response has no blocks to retire, so
+                        // its spare pool stays empty.
+                        let mut resp = Vec::new();
+                        ping_one_into(
+                            &job.ping,
+                            &job.snap,
+                            &job.proj,
+                            c,
+                            oc,
+                            &mut scratch,
+                            &mut Vec::new(),
+                            &mut resp,
+                        );
+                        out.push(resp);
                     }
                     if result_tx.send((job.chunk, out)).is_err() {
                         return;
@@ -238,8 +240,7 @@ impl UberSystem {
             transport: Transport::new(),
             parallelism: 1,
             pool: None,
-            last_snap: None,
-            arena: None,
+            snaps: SnapshotArena::new(),
             scratch: PingScratch::new(),
             outcomes: Vec::new(),
             spare_blocks: Vec::new(),
@@ -271,24 +272,11 @@ impl UberSystem {
 
     /// The world snapshot for the current tick, captured on first use and
     /// shared (via `Arc`) by every consumer until the next `advance_tick`
-    /// — `ping_all` and same-tick probes see literally the same object.
+    /// — `ping_all_into` and same-tick probes see literally the same object.
     pub fn tick_snapshot(&mut self) -> Arc<WorldSnapshot> {
-        if self.last_snap.is_none() {
-            let _span = self.metrics.capture.start();
-            let snap = match self.arena.take() {
-                // Steady state: re-capture into the reclaimed shell —
-                // tier buckets, grid slabs and the Arc box all reused.
-                Some(mut arc) => {
-                    Arc::get_mut(&mut arc)
-                        .expect("arena snapshot is uniquely owned")
-                        .capture(&self.marketplace);
-                    arc
-                }
-                None => Arc::new(WorldSnapshot::of(&self.marketplace)),
-            };
-            self.last_snap = Some(snap);
-        }
-        Arc::clone(self.last_snap.as_ref().expect("just populated"))
+        // `phase.capture` times real captures only, not same-tick reuse.
+        let _span = (!self.snaps.is_captured()).then(|| self.metrics.capture.start());
+        self.snaps.snapshot(&self.marketplace)
     }
 
     /// Enables transport fault injection on client pings. Panics on an
@@ -341,30 +329,18 @@ impl UberSystem {
     }
 }
 
-/// Answers (or drops) one client's ping against the tick snapshot. Pure
-/// apart from `scratch` reuse: the serial path and every pool worker run
-/// exactly this function, and its observations are byte-identical to
-/// converting a full `ping_client` wire response (regression-tested) —
-/// it just skips materializing the response, rendering observations
-/// straight from the snapshot via the fused per-tier kernel.
-fn ping_one(
-    ping: &PingConfig,
-    snap: &WorldSnapshot,
-    proj: &LocalProjection,
-    c: &ClientSpec,
-    outcome: FaultOutcome,
-    scratch: &mut PingScratch,
-) -> Vec<TypeObservation> {
-    let mut out = Vec::new();
-    ping_one_into(ping, snap, proj, c, outcome, scratch, &mut Vec::new(), &mut out);
-    out
-}
-
-/// In-place variant of [`ping_one`]: overwrites `out` block by block,
-/// reusing its per-tier `cars` vectors. Clients see the same tier list
-/// every tick, so in steady state nothing here allocates; when the tier
-/// count shrinks the surplus blocks retire into `spare`, and a growing
-/// tier count reclaims from it before allocating.
+/// Answers (or drops) one client's ping against the tick snapshot into
+/// `out`. The serial path, the delayed-send path and every pool worker
+/// run exactly this function, and its observations are byte-identical to
+/// converting a full `ping_client` wire response (regression-tested) — it
+/// just skips materializing the response, rendering observations straight
+/// from the snapshot via the fused per-tier kernel.
+///
+/// `out` is overwritten block by block, reusing its per-tier `cars`
+/// vectors. Clients see the same tier list every tick, so in steady state
+/// nothing here allocates; when the tier count shrinks the surplus blocks
+/// retire into `spare`, and a growing tier count reclaims from it before
+/// allocating.
 #[allow(clippy::too_many_arguments)]
 fn ping_one_into(
     ping: &PingConfig,
@@ -414,18 +390,9 @@ fn ping_one_into(
 
 impl MeasuredSystem for UberSystem {
     fn advance_tick(&mut self) {
-        // The cached snapshot describes the outgoing tick. Reclaim its
-        // shell for the arena if nothing else still holds it (true in
-        // steady state: pings and probes drop their handles within the
-        // tick), releasing the driver-shared path handles *before* the
-        // world moves — a retained handle would turn every driver's next
-        // path append into a copy-on-write clone.
-        if let Some(mut arc) = self.last_snap.take() {
-            if let Some(snap) = Arc::get_mut(&mut arc) {
-                snap.release_cars();
-                self.arena = Some(arc);
-            }
-        }
+        // Pings and probes drop their snapshot handles within the tick,
+        // so the arena reclaims the shell before the world moves.
+        self.snaps.release();
         self.marketplace.tick();
         self.transport.advance_tick();
     }
@@ -482,8 +449,9 @@ impl MeasuredSystem for UberSystem {
         if threads <= 1 {
             // Serial path: answer straight into the caller's slots,
             // reusing their block/car vectors tick over tick. A delayed
-            // response is computed into a fresh vector (it must outlive
-            // this tick inside the in-flight queue) and its slot cleared.
+            // response goes into a fresh vector (it must outlive this tick
+            // inside the in-flight queue), built from the slot's retired
+            // blocks, and the slot is left empty.
             let scratch = &mut self.scratch;
             let transport = &mut self.transport;
             let spare = &mut self.spare_blocks;
@@ -494,18 +462,19 @@ impl MeasuredSystem for UberSystem {
                         ping_one_into(&ping, &snap, &proj, c, oc, scratch, spare, slot)
                     }
                     FaultOutcome::Delay(d) => {
-                        spare.extend(slot.drain(..));
-                        let resp = ping_one(&ping, &snap, &proj, c, oc, scratch);
+                        spare.append(slot);
+                        let mut resp = Vec::new();
+                        ping_one_into(&ping, &snap, &proj, c, oc, scratch, spare, &mut resp);
                         transport.send_delayed(i, ticks_late(d, tick_secs), resp);
                     }
-                    FaultOutcome::Drop => spare.extend(slot.drain(..)),
+                    FaultOutcome::Drop => spare.append(slot),
                 }
             }
         } else {
             // Fan out over contiguous client chunks on the persistent
             // pool; results land by chunk index, so ordering (and every
             // byte of the result) matches the serial path.
-            if self.pool.as_ref().map_or(true, |p| p.threads() != threads) {
+            if self.pool.as_ref().is_none_or(|p| p.threads() != threads) {
                 self.pool = Some(PingPool::new(threads));
             }
             let pool = self.pool.as_ref().expect("just populated");
@@ -628,7 +597,8 @@ mod tests {
             ClientSpec { key: 0, position: center },
             ClientSpec { key: 1, position: Meters::new(center.x + 300.0, center.y) },
         ];
-        let obs = sys.ping_all(&clients);
+        let mut obs = Vec::new();
+        sys.ping_all_into(&clients, &mut obs);
         assert_eq!(obs.len(), 2);
         for per_client in &obs {
             assert!(!per_client.is_empty());
@@ -655,9 +625,10 @@ mod tests {
                     ),
                 })
                 .collect();
-            let mut all = Vec::new();
+            let (mut all, mut obs) = (Vec::new(), Vec::new());
             for _ in 0..12 {
-                all.push(sys.ping_all(&clients));
+                sys.ping_all_into(&clients, &mut obs);
+                all.push(obs.clone());
                 sys.advance_tick();
             }
             all
@@ -695,9 +666,10 @@ mod tests {
             })
             .collect();
         let mut clean_hist: Vec<Vec<Vec<TypeObservation>>> = Vec::new();
+        let (mut c, mut l) = (Vec::new(), Vec::new());
         for tick in 0..8 {
-            let c = clean.ping_all(&clients);
-            let l = laggy.ping_all(&clients);
+            clean.ping_all_into(&clients, &mut c);
+            laggy.ping_all_into(&clients, &mut l);
             if tick == 0 {
                 assert!(
                     l.iter().all(Vec::is_empty),
@@ -715,7 +687,7 @@ mod tests {
                     "tick {tick}: delayed payload must carry send-time content"
                 );
             }
-            clean_hist.push(c);
+            clean_hist.push(c.clone());
             clean.advance_tick();
             laggy.advance_tick();
         }
@@ -745,7 +717,8 @@ mod tests {
             sys.advance_tick();
         }
         let center = sys.marketplace.city().measurement_region.centroid();
-        let obs = sys.ping_all(&[ClientSpec { key: 0, position: center }]);
+        let mut obs = Vec::new();
+        sys.ping_all_into(&[ClientSpec { key: 0, position: center }], &mut obs);
         let x = obs[0].iter().find(|t| t.car_type == CarType::UberX).unwrap();
         assert!(
             x.cars.iter().any(|c| c.displacement.is_some()),
@@ -764,7 +737,8 @@ mod tests {
             sys.advance_tick();
         }
         let center = city.measurement_region.centroid();
-        let obs = sys.ping_all(&[ClientSpec { key: 0, position: center }]);
+        let mut obs = Vec::new();
+        sys.ping_all_into(&[ClientSpec { key: 0, position: center }], &mut obs);
         assert_eq!(obs[0].len(), 1);
         let block = &obs[0][0];
         assert_eq!(block.car_type, CarType::UberT);

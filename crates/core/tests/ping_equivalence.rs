@@ -28,10 +28,11 @@ fn ping_all_matches_wire_response_conversion() {
     let ping = api.ping_config();
     let mut sys = UberSystem::new(mp, api);
 
+    let mut obs = Vec::new();
     for tick in 0..24 {
         sys.advance_tick();
         let snap = sys.tick_snapshot();
-        let obs = sys.ping_all(&clients);
+        sys.ping_all_into(&clients, &mut obs);
         for (c, blocks) in clients.iter().zip(&obs) {
             let resp = ping.ping_client(&snap, c.key, proj.to_latlng(c.position));
             // The honest client-side pipeline — the exact conversion the

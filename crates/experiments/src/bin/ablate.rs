@@ -124,7 +124,7 @@ fn sweep_jitter() {
                 let window = jcfg.window(bug_seed, ci as u64, iv as u64);
                 for k in 0..ticks_per_iv {
                     let offset = (k as u64) * data.tick_secs;
-                    let stale = window.map_or(false, |w| w.contains(offset));
+                    let stale = window.is_some_and(|w| w.contains(offset));
                     stream.push(if stale { prev } else { cur });
                 }
             }
@@ -176,12 +176,14 @@ fn sweep_location_noise() {
             city.measurement_region.clone(),
             vec![],
         );
+        let mut obs = Vec::new();
         for _ in 0..(6 * 720u64) {
             sys.advance_tick();
             let now = sys.now();
             let state_t = now.saturating_sub(surgescope_simcore::SimDuration::secs(5));
-            for blocks in sys.ping_all(&clients) {
-                est.observe(state_t, &blocks);
+            sys.ping_all_into(&clients, &mut obs);
+            for blocks in &obs {
+                est.observe(state_t, blocks);
             }
             est.end_tick(now);
         }

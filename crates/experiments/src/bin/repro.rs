@@ -18,7 +18,7 @@
 //! `--remote ADDR` points the experiments' campaigns at such a server —
 //! the measured bytes are identical to the in-process run.
 
-use std::path::PathBuf;
+use std::path::{Path, PathBuf};
 use surgescope_core::{CampaignConfig, CampaignRunner, StoreHooks};
 use surgescope_experiments::{cache, cache::CampaignCache, run_experiment, RunCtx, ALL_IDS};
 
@@ -52,13 +52,13 @@ fn usage() -> ! {
 }
 
 /// Finishes the campaign checkpointed at `ckpt` and seeds `cache` with it.
-fn resume_campaign(ckpt: &PathBuf, ctx: &RunCtx, campaigns: &CampaignCache) {
+fn resume_campaign(ckpt: &Path, ctx: &RunCtx, campaigns: &CampaignCache) {
     use serde::Deserialize;
     let (_, state) = surgescope_store::read_checkpoint(ckpt).unwrap_or_else(|e| {
         eprintln!("--resume: cannot read {}: {e}", ckpt.display());
         std::process::exit(1);
     });
-    fn die(ckpt: &PathBuf, e: &dyn std::fmt::Display) -> ! {
+    fn die(ckpt: &Path, e: &dyn std::fmt::Display) -> ! {
         eprintln!("--resume: bad checkpoint {}: {e}", ckpt.display());
         std::process::exit(1);
     }
@@ -102,7 +102,7 @@ fn resume_campaign(ckpt: &PathBuf, ctx: &RunCtx, campaigns: &CampaignCache) {
     if let Some(cp) = &cfg.store.checkpoint_path {
         let _ = std::fs::remove_file(cp);
     }
-    if ckpt.exists() && Some(ckpt) != cfg.store.checkpoint_path.as_ref() {
+    if ckpt.exists() && Some(ckpt) != cfg.store.checkpoint_path.as_deref() {
         let _ = std::fs::remove_file(ckpt);
     }
     eprintln!("[resume] campaign finished ({} ticks); cache seeded", data.ticks);

@@ -5,13 +5,13 @@ use crate::cache::{CampaignCache, City};
 use crate::{Outcome, RunCtx, TextTable};
 use surgescope_analysis::cross_correlation;
 use surgescope_api::ProtocolEra;
-use surgescope_core::forecast::{fit_city, ModelFilter};
+use surgescope_core::forecast::{fit_city, AreaSeries, ModelFilter};
 use surgescope_core::transitions::CarState;
 use surgescope_core::CampaignData;
 
 /// Per-area series `(supply, demand, ewt, surge)` assembled from a
 /// campaign, truncated to a common length.
-fn area_series(data: &CampaignData) -> Vec<(Vec<u32>, Vec<u32>, Vec<f32>, Vec<f32>)> {
+fn area_series(data: &CampaignData) -> Vec<AreaSeries> {
     let n_areas = data.api_surge.len();
     let mut out = Vec::with_capacity(n_areas);
     for a in 0..n_areas {
@@ -75,9 +75,7 @@ fn xcorr_experiment(
                 .collect(),
         );
     }
-    for i in 0..per_city[0].len() {
-        let (lag, rm, pm) = per_city[0][i];
-        let (_, rs, ps) = per_city[1][i];
+    for (&(lag, rm, pm), &(_, rs, ps)) in per_city[0].iter().zip(&per_city[1]) {
         table.row(vec![
             lag.to_string(),
             format!("{rm:.3}"),

@@ -14,7 +14,7 @@ use crate::cache::{CampaignCache, City};
 use crate::{Outcome, RunCtx, TextTable};
 use surgescope_analysis::Ecdf;
 use surgescope_api::ProtocolEra;
-use surgescope_core::forecast::{fit_city, ModelFilter};
+use surgescope_core::forecast::{fit_city, AreaSeries, ModelFilter};
 use surgescope_core::surge_obs::episodes;
 use surgescope_core::CampaignConfig;
 use surgescope_marketplace::SurgePolicy;
@@ -76,7 +76,7 @@ pub fn ext01(ctx: &RunCtx, cache: &CampaignCache) -> Outcome {
         let e = Ecdf::new(durs);
 
         // Forecastability: the Raw model of Table 1.
-        let series: Vec<(Vec<u32>, Vec<u32>, Vec<f32>, Vec<f32>)> = (0..data.api_surge.len())
+        let series: Vec<AreaSeries> = (0..data.api_surge.len())
             .map(|a| {
                 let surge = data.api_surge[a].clone();
                 let ewt = data.api_ewt[a].clone();

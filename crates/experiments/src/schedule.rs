@@ -158,7 +158,7 @@ fn cost_ticks(t: &Prefetch, ctx: &RunCtx) -> f64 {
 fn tie_key(t: &Prefetch) -> u64 {
     match t {
         Prefetch::Taxi => 0,
-        Prefetch::Campaign(city, cfg) => cache::cache_key(&city.model().name, &cfg),
+        Prefetch::Campaign(city, cfg) => cache::cache_key(&city.model().name, cfg),
     }
 }
 

@@ -1,22 +1,27 @@
 //! Incrementally-maintained bucket grid for point sets that churn.
 //!
-//! [`SpatialGrid`](crate::SpatialGrid) is built once and queried; the
-//! marketplace's idle-driver index, however, changes a handful of entries
-//! per tick (a dispatch removes a car, a trip completion re-inserts it, an
-//! idle cruise moves it one cell over) while the vast majority of points
-//! stay put. Rebuilding the CSR grid from scratch twice per tick made the
-//! index the single largest line in the tick profile. [`DynamicGrid`]
-//! keeps the same uniform square-cell geometry but stores each cell as a
-//! small `Vec<(id, position)>` so membership updates are O(1) per change.
+//! The marketplace's per-tier idle-driver index answers dispatch (the
+//! nearest idle car within the match radius) and its internal EWT. It
+//! changes a handful of entries per tick (a dispatch removes a car, a trip
+//! completion re-inserts it, an idle cruise moves it one cell over) while
+//! most points stay put, so rebuilding a CSR [`SpatialGrid`] from scratch
+//! twice per tick made it the largest line in the tick profile.
+//! [`DynamicGrid`] cuts the plane with the same cell geometry (the shared
+//! `cells` module: cell fit, centre cell, ring walk, next-ring bound) but
+//! stores each cell as a small `Vec<(id, position)>`, so membership
+//! updates are O(1) per change.
 //!
 //! Queries are **exact** and id-deterministic: ring expansion stops only
 //! once no unvisited cell can hold a better point, and ties resolve toward
-//! the *lowest id*. A freshly rebuilt [`SpatialGrid`](crate::SpatialGrid)
-//! over the same points, inserted in ascending id order, breaks ties by
-//! insertion index — i.e. by id — so swapping one index for the other
-//! changes no query answer, bit for bit, regardless of how differently the
-//! two grids bucket the plane.
+//! the *lowest id*. A freshly rebuilt [`SpatialGrid`] over the same
+//! points, inserted in ascending id order, breaks ties by insertion index
+//! — i.e. by id — so swapping one index for the other changes no query
+//! answer, bit for bit, regardless of how differently the two grids bucket
+//! the plane.
+//!
+//! [`SpatialGrid`]: crate::SpatialGrid
 
+use crate::cells::Cells;
 use crate::project::Meters;
 
 /// A mutable point set bucketed into uniform square cells. Ids are caller
@@ -24,13 +29,10 @@ use crate::project::Meters;
 /// points currently stored.
 #[derive(Debug, Clone)]
 pub struct DynamicGrid {
-    cell_size: f64,
-    origin: Meters,
-    nx: usize,
-    ny: usize,
+    cells: Cells,
     /// Unordered per-cell membership; order never affects query results
     /// because ties resolve by id, not storage position.
-    cells: Vec<Vec<(u32, Meters)>>,
+    members: Vec<Vec<(u32, Meters)>>,
     len: usize,
 }
 
@@ -44,25 +46,9 @@ impl DynamicGrid {
     pub fn new(min: Meters, max: Meters, expected_points: usize) -> Self {
         let w = (max.x - min.x).max(1.0);
         let h = (max.y - min.y).max(1.0);
-        let mut cell_size =
-            (w * h / expected_points.max(1) as f64).sqrt().clamp(50.0, 1_500.0);
-        let max_cells = (4 * expected_points).max(1_024);
-        let (nx, ny) = loop {
-            let nx = (w / cell_size) as usize + 1;
-            let ny = (h / cell_size) as usize + 1;
-            if nx.saturating_mul(ny) <= max_cells {
-                break (nx, ny);
-            }
-            cell_size *= 2.0;
-        };
-        DynamicGrid {
-            cell_size,
-            origin: min,
-            nx,
-            ny,
-            cells: vec![Vec::new(); nx * ny],
-            len: 0,
-        }
+        let size = (w * h / expected_points.max(1) as f64).sqrt().clamp(50.0, 1_500.0);
+        let cells = Cells::fit(min, w, h, size, expected_points);
+        DynamicGrid { cells, members: vec![Vec::new(); cells.count()], len: 0 }
     }
 
     /// Number of stored points.
@@ -75,23 +61,10 @@ impl DynamicGrid {
         self.len == 0
     }
 
-    fn cell_index(&self, pos: Meters) -> usize {
-        let (cx, cy) = self.center_cell(pos);
-        cy * self.nx + cx
-    }
-
-    fn center_cell(&self, pos: Meters) -> (usize, usize) {
-        let fx = (pos.x - self.origin.x) / self.cell_size;
-        let fy = (pos.y - self.origin.y) / self.cell_size;
-        let cx = if fx <= 0.0 { 0 } else { (fx as usize).min(self.nx - 1) };
-        let cy = if fy <= 0.0 { 0 } else { (fy as usize).min(self.ny - 1) };
-        (cx, cy)
-    }
-
     /// Adds a point. The id must not already be present.
     pub fn insert(&mut self, id: u32, pos: Meters) {
-        let c = self.cell_index(pos);
-        self.cells[c].push((id, pos));
+        let c = self.cells.index_of(pos);
+        self.members[c].push((id, pos));
         self.len += 1;
     }
 
@@ -100,8 +73,8 @@ impl DynamicGrid {
     /// missing entry means the caller's incremental bookkeeping diverged,
     /// which must fail loudly rather than degrade query answers.
     pub fn remove(&mut self, id: u32, pos: Meters) {
-        let c = self.cell_index(pos);
-        let cell = &mut self.cells[c];
+        let c = self.cells.index_of(pos);
+        let cell = &mut self.members[c];
         let at = cell
             .iter()
             .position(|&(i, _)| i == id)
@@ -113,10 +86,10 @@ impl DynamicGrid {
     /// Moves a point from its stored position `old` to `new`. Stays O(1)
     /// when both land in the same cell.
     pub fn update(&mut self, id: u32, old: Meters, new: Meters) {
-        let co = self.cell_index(old);
-        let cn = self.cell_index(new);
+        let co = self.cells.index_of(old);
+        let cn = self.cells.index_of(new);
         if co == cn {
-            let cell = &mut self.cells[co];
+            let cell = &mut self.members[co];
             let at = cell
                 .iter()
                 .position(|&(i, _)| i == id)
@@ -128,88 +101,32 @@ impl DynamicGrid {
         }
     }
 
-    /// Calls `f` with every point on Chebyshev cell-ring `r` around
-    /// `(cx, cy)`. Mirrors `SpatialGrid::for_ring_cells`.
-    fn for_ring_points(&self, cx: usize, cy: usize, r: usize, mut f: impl FnMut(u32, Meters)) {
-        let mut cell = |ix: usize, iy: usize| {
-            for &(id, p) in &self.cells[iy * self.nx + ix] {
-                f(id, p);
-            }
-        };
-        if r == 0 {
-            cell(cx, cy);
-            return;
-        }
-        let (cx, cy, r) = (cx as i64, cy as i64, r as i64);
-        let x_lo = (cx - r).max(0);
-        let x_hi = (cx + r).min(self.nx as i64 - 1);
-        for iy in [cy - r, cy + r] {
-            if (0..self.ny as i64).contains(&iy) {
-                for ix in x_lo..=x_hi {
-                    cell(ix as usize, iy as usize);
-                }
-            }
-        }
-        let y_lo = (cy - r + 1).max(0);
-        let y_hi = (cy + r - 1).min(self.ny as i64 - 1);
-        for ix in [cx - r, cx + r] {
-            if (0..self.nx as i64).contains(&ix) {
-                for iy in y_lo..=y_hi {
-                    cell(ix as usize, iy as usize);
-                }
-            }
-        }
-    }
-
-    /// After visiting rings `0..=r`: smallest possible distance from `pos`
-    /// to any unvisited in-grid cell (valid for L1 and L2 — leaving an
-    /// axis-aligned box means crossing one side), `None` once every cell
-    /// has been visited. Mirrors `SpatialGrid::next_ring_bound`.
-    fn next_ring_bound(&self, pos: Meters, cx: usize, cy: usize, r: usize) -> Option<f64> {
-        let (cx, cy, r) = (cx as i64, cy as i64, r as i64);
-        let mut bound = f64::INFINITY;
-        let mut any = false;
-        if cx - r > 0 {
-            any = true;
-            bound = bound.min(pos.x - (self.origin.x + (cx - r) as f64 * self.cell_size));
-        }
-        if cx + r + 1 < self.nx as i64 {
-            any = true;
-            bound = bound.min(self.origin.x + (cx + r + 1) as f64 * self.cell_size - pos.x);
-        }
-        if cy - r > 0 {
-            any = true;
-            bound = bound.min(pos.y - (self.origin.y + (cy - r) as f64 * self.cell_size));
-        }
-        if cy + r + 1 < self.ny as i64 {
-            any = true;
-            bound = bound.min(self.origin.y + (cy + r + 1) as f64 * self.cell_size - pos.y);
-        }
-        any.then(|| bound.max(0.0))
-    }
-
     /// The stored point minimizing `(L1 distance to pos, id)` among those
     /// within `max_dist` (inclusive), as `(id, L1 distance)`. The
     /// lexicographic tie-break reproduces a first-strictly-less linear
-    /// scan in ascending id order — the same contract as
-    /// `SpatialGrid::nearest_l1_within` over points inserted in id order.
+    /// scan in ascending id order — the same answer as the L1 side of
+    /// `SpatialGrid::k_nearest_and_l1_into` over points inserted in id
+    /// order, restricted to `max_dist`.
     pub fn nearest_l1_within(&self, pos: Meters, max_dist: f64) -> Option<(u32, f64)> {
         if self.is_empty() {
             return None;
         }
-        let (cx, cy) = self.center_cell(pos);
+        let cells = &self.cells;
+        let (cx, cy) = cells.center(pos);
         let mut best: Option<(f64, u32)> = None;
         let mut r = 0;
         loop {
-            self.for_ring_points(cx, cy, r, |id, p| {
-                let dist = (p.x - pos.x).abs() + (p.y - pos.y).abs();
-                if dist <= max_dist
-                    && best.is_none_or(|(bd, bi)| dist < bd || (dist == bd && id < bi))
-                {
-                    best = Some((dist, id));
+            cells.for_ring(cx, cy, r, |c| {
+                for &(id, p) in &self.members[c] {
+                    let dist = (p.x - pos.x).abs() + (p.y - pos.y).abs();
+                    if dist <= max_dist
+                        && best.is_none_or(|(bd, bi)| dist < bd || (dist == bd && id < bi))
+                    {
+                        best = Some((dist, id));
+                    }
                 }
             });
-            let Some(lb) = self.next_ring_bound(pos, cx, cy, r) else { break };
+            let Some(lb) = cells.next_ring_bound(pos, cx, cy, r) else { break };
             // Stop once no unvisited cell can beat (or tie) the best, or
             // can lie within the radius at all.
             if lb > max_dist || best.is_some_and(|(bd, _)| lb > bd) {
@@ -228,7 +145,7 @@ impl DynamicGrid {
     /// All stored `(id, position)` pairs, in unspecified order (equivalence
     /// checks sort by id).
     pub fn items(&self) -> impl Iterator<Item = (u32, Meters)> + '_ {
-        self.cells.iter().flatten().copied()
+        self.members.iter().flatten().copied()
     }
 }
 
@@ -289,6 +206,12 @@ mod tests {
         g.insert(0, Meters::new(300.0, 400.0));
         assert_eq!(g.nearest_l1_within(Meters::new(0.0, 0.0), 700.0), Some((0, 700.0)));
         assert_eq!(g.nearest_l1_within(Meters::new(0.0, 0.0), 699.0), None);
+        // 100 m cells. The point sits on the near edge of a cell two rings
+        // out, exactly `max_dist` away: the next-ring bound equals the
+        // radius there, so the search must still visit that ring.
+        let mut g = DynamicGrid::new(Meters::new(0.0, 0.0), Meters::new(1000.0, 1000.0), 100);
+        g.insert(5, Meters::new(300.0, 50.0));
+        assert_eq!(g.nearest_l1_within(Meters::new(150.0, 50.0), 150.0), Some((5, 150.0)));
     }
 
     #[test]
@@ -304,6 +227,53 @@ mod tests {
         // And removing via the same clamped cell works.
         g.remove(2, Meters::new(-500.0, 2500.0));
         assert_eq!(g.nearest_l1(Meters::new(-400.0, 2400.0)).map(|(i, _)| i), Some(8));
+    }
+
+    /// Seeded sweep with most points outside the grid's box (on every
+    /// side, so they crowd the clamped border cells) and `max_dist` from 0
+    /// through finite, tie-hitting radii to unbounded. Every answer must
+    /// match a linear scan, and the unbounded one must also match the L1
+    /// side of a `SpatialGrid` over the same points in id order.
+    #[test]
+    fn matches_brute_force_with_points_outside_the_box() {
+        use crate::spatial::tests::XorShift;
+        use crate::{GridScratch, SpatialGrid};
+        let (min, max) = (Meters::new(-1_000.0, -1_000.0), Meters::new(1_000.0, 1_000.0));
+        let (mut scratch, mut out) = (GridScratch::new(), Vec::new());
+        let mut outside = 0;
+        for seed in [2026u64, 777, 0xDEAD] {
+            let mut rng = XorShift::new(seed);
+            for round in 0..10 {
+                let n = 1 + (rng.next_u64() % 120) as usize;
+                let pts: Vec<(u32, Meters)> = (0..n as u32)
+                    .map(|id| {
+                        (id, Meters::new(rng.f64_in(-3_000.0, 3_000.0), rng.f64_in(-3_000.0, 3_000.0)))
+                    })
+                    .collect();
+                outside += pts.iter().filter(|(_, p)| p.x.abs() > 1_000.0 || p.y.abs() > 1_000.0).count();
+                let mut g = DynamicGrid::new(min, max, n);
+                // Insert in reverse: ties must still resolve by id.
+                for &(id, p) in pts.iter().rev() {
+                    g.insert(id, p);
+                }
+                let sg = SpatialGrid::build(pts.iter().map(|&(_, p)| (p, ())).collect(), 150.0);
+                for _ in 0..20 {
+                    let q = Meters::new(rng.f64_in(-4_000.0, 4_000.0), rng.f64_in(-4_000.0, 4_000.0));
+                    let max_dist = match rng.next_u64() % 4 {
+                        0 => 0.0,
+                        1 => f64::INFINITY,
+                        _ => (rng.next_u64() % 160) as f64 * 50.0,
+                    };
+                    let got = g.nearest_l1_within(q, max_dist);
+                    assert_eq!(got, brute_l1(&pts, q, max_dist), "seed {seed} round {round}");
+                    if max_dist.is_infinite() {
+                        let want = sg.k_nearest_and_l1_into(q, 0, &mut scratch, &mut out);
+                        assert_eq!(got, want.map(|(i, d)| (i as u32, d)), "seed {seed} round {round}");
+                    }
+                }
+            }
+        }
+        assert!(outside > 1_000, "only {outside} points outside the box; sweep is vacuous");
     }
 
     #[test]

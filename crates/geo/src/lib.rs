@@ -14,6 +14,7 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
+mod cells;
 mod dynamic;
 mod latlng;
 mod path;

@@ -62,7 +62,7 @@ impl PathVector {
         }
         let first = proj.to_meters(*self.points.front().unwrap());
         let last = proj.to_meters(*self.points.back().unwrap());
-        Some(last.sub(first))
+        Some(last - first)
     }
 
     /// Heuristic from the paper's edge filter: does this path look like the
@@ -77,7 +77,7 @@ impl PathVector {
         }
         match self.displacement(proj) {
             Some(d) if d.norm() > 1.0 => {
-                let first_m = last_m.sub(d);
+                let first_m = last_m - d;
                 // Moving closer to the boundary (or already outside).
                 !region.contains(last_m)
                     || region.distance_to_boundary(last_m)

@@ -171,13 +171,13 @@ impl Polygon {
 }
 
 fn dist_point_segment(p: Meters, a: Meters, b: Meters) -> f64 {
-    let ab = b.sub(a);
+    let ab = b - a;
     let len2 = ab.dot(ab);
     if len2 == 0.0 {
         return p.dist(a);
     }
-    let t = (p.sub(a).dot(ab) / len2).clamp(0.0, 1.0);
-    p.dist(a.add(ab.scale(t)))
+    let t = ((p - a).dot(ab) / len2).clamp(0.0, 1.0);
+    p.dist(a + ab.scale(t))
 }
 
 #[cfg(test)]

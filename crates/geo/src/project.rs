@@ -46,16 +46,6 @@ impl Meters {
         (self.x * self.x + self.y * self.y).sqrt()
     }
 
-    /// Component-wise subtraction (`self - other`).
-    pub fn sub(self, other: Meters) -> Meters {
-        Meters::new(self.x - other.x, self.y - other.y)
-    }
-
-    /// Component-wise addition.
-    pub fn add(self, other: Meters) -> Meters {
-        Meters::new(self.x + other.x, self.y + other.y)
-    }
-
     /// Scalar multiplication.
     pub fn scale(self, k: f64) -> Meters {
         Meters::new(self.x * k, self.y * k)
@@ -64,6 +54,24 @@ impl Meters {
     /// Dot product.
     pub fn dot(self, other: Meters) -> f64 {
         self.x * other.x + self.y * other.y
+    }
+}
+
+impl std::ops::Sub for Meters {
+    type Output = Meters;
+
+    /// Component-wise subtraction.
+    fn sub(self, other: Meters) -> Meters {
+        Meters::new(self.x - other.x, self.y - other.y)
+    }
+}
+
+impl std::ops::Add for Meters {
+    type Output = Meters;
+
+    /// Component-wise addition.
+    fn add(self, other: Meters) -> Meters {
+        Meters::new(self.x + other.x, self.y + other.y)
     }
 }
 
@@ -132,8 +140,8 @@ mod tests {
         let a = Meters::new(3.0, 4.0);
         let b = Meters::new(-1.0, 2.0);
         assert_eq!(a.norm(), 5.0);
-        assert_eq!(a.sub(b), Meters::new(4.0, 2.0));
-        assert_eq!(a.add(b), Meters::new(2.0, 6.0));
+        assert_eq!(a - b, Meters::new(4.0, 2.0));
+        assert_eq!(a + b, Meters::new(2.0, 6.0));
         assert_eq!(a.scale(2.0), Meters::new(6.0, 8.0));
         assert_eq!(a.dot(b), 5.0);
         assert_eq!(a.dist(b), (16.0f64 + 4.0).sqrt());

@@ -1,13 +1,14 @@
-//! Uniform bucket-grid spatial index.
+//! Uniform bucket-grid spatial index over a frozen point set.
 //!
-//! The measurement hot loop asks the same three questions thousands of
-//! times per simulated tick: *k nearest cars to a client* (pingClient's
-//! nearest-8), *nearest idle driver within a radius* (dispatch), and
-//! *nearest car of a tier* (EWT). All were answered by scanning — and for
-//! the nearest-k case fully sorting — every visible car. [`SpatialGrid`]
-//! buckets points into uniform square cells (CSR layout: one flat index
-//! array plus per-cell offsets) and answers those queries by expanding
-//! ring search, visiting only the cells that can still matter.
+//! Every pingClient answer asks two questions per tier: the *k nearest
+//! cars* to the client (the nearest-8 the app shows) and the *nearest car
+//! by rectilinear distance* (its EWT). Scanning the tier's whole inventory
+//! for each, and sorting it for the nearest-k, made those questions the
+//! bulk of a tick. [`SpatialGrid`] buckets a tier's cars into uniform
+//! square cells (CSR layout: one flat index array plus per-cell offsets)
+//! and answers both in one expanding ring search,
+//! [`SpatialGrid::k_nearest_and_l1_into`], visiting only the cells that
+//! can still matter. An EWT-only lookup is the same call with `k = 0`.
 //!
 //! Queries are **exact**, not approximate: a ring is only ruled out once
 //! the distance from the query point to the nearest unvisited cell
@@ -20,16 +21,16 @@
 //! slabs so the ring scans stream over dense `f64` lanes, and the slabs
 //! (plus the CSR arrays) are reused across [`SpatialGrid::rebuild`] calls
 //! — a grid rebuilt every tick stops allocating once its capacity
-//! high-water marks settle. Allocation-free `_into` query variants write
-//! into caller-owned buffers ([`GridScratch`] holds the candidate
-//! scratch), and [`SpatialGrid::k_nearest_and_l1_into`] fuses the two
-//! per-tier pingClient questions into one ring expansion.
+//! high-water marks settle. The query writes into caller-owned buffers
+//! ([`GridScratch`] holds the candidate scratch), so it allocates nothing
+//! either.
 
+use crate::cells::{max_cells, Cells};
 use crate::project::Meters;
 
-/// Reusable candidate scratch for [`SpatialGrid::k_nearest_into`] and
-/// [`SpatialGrid::k_nearest_and_l1_into`]. Owning it at the call site
-/// (one per worker thread) keeps repeated queries allocation-free.
+/// Reusable candidate scratch for [`SpatialGrid::k_nearest_and_l1_into`].
+/// Owning it at the call site (one per worker thread) keeps repeated
+/// queries allocation-free.
 #[derive(Debug, Clone, Default)]
 pub struct GridScratch {
     /// `(squared distance, insertion index)` candidates, sorted on demand.
@@ -48,10 +49,7 @@ impl GridScratch {
 /// when the insertion index itself is the answer.
 #[derive(Debug, Clone)]
 pub struct SpatialGrid<T> {
-    cell_size: f64,
-    origin: Meters,
-    nx: usize,
-    ny: usize,
+    cells: Cells,
     /// CSR offsets: cell `c` holds `cell_items[cell_start[c]..cell_start[c+1]]`.
     cell_start: Vec<u32>,
     /// Insertion indices grouped by cell, ascending within each cell.
@@ -69,10 +67,7 @@ impl<T> SpatialGrid<T> {
     /// (the arena form: keep one per tier, rebuild it every tick).
     pub fn empty() -> Self {
         SpatialGrid {
-            cell_size: 100.0,
-            origin: Meters::new(0.0, 0.0),
-            nx: 0,
-            ny: 0,
+            cells: Cells::empty(100.0),
             cell_start: vec![0],
             cell_items: Vec::new(),
             xs: Vec::new(),
@@ -113,11 +108,8 @@ impl<T> SpatialGrid<T> {
             self.payloads.push(t);
         }
         let n = self.xs.len();
-        self.cell_size = cell_size;
         if n == 0 {
-            self.origin = Meters::new(0.0, 0.0);
-            self.nx = 0;
-            self.ny = 0;
+            self.cells = Cells::empty(cell_size);
             self.cell_start.clear();
             self.cell_start.push(0);
             self.cell_items.clear();
@@ -132,41 +124,25 @@ impl<T> SpatialGrid<T> {
             max_x = max_x.max(self.xs[i]);
             max_y = max_y.max(self.ys[i]);
         }
-
-        let max_cells = (4 * n).max(1_024);
-        let mut cell_size = cell_size;
-        let (nx, ny) = loop {
-            let nx = ((max_x - min_x) / cell_size) as usize + 1;
-            let ny = ((max_y - min_y) / cell_size) as usize + 1;
-            if nx.saturating_mul(ny) <= max_cells {
-                break (nx, ny);
-            }
-            cell_size *= 2.0;
-        };
-        self.cell_size = cell_size;
-        self.origin = Meters::new(min_x, min_y);
-        self.nx = nx;
-        self.ny = ny;
+        let cells =
+            Cells::fit(Meters::new(min_x, min_y), max_x - min_x, max_y - min_y, cell_size, n);
+        self.cells = cells;
 
         // Counting sort into cells; iterating in insertion order keeps
         // each cell's item list ascending (the tie-break invariant). The
         // start offsets double as placement cursors, then shift back —
         // no separate cursor array to allocate.
-        let cell_of = |x: f64, y: f64| {
-            let ix = (((x - min_x) / cell_size) as usize).min(nx - 1);
-            let iy = (((y - min_y) / cell_size) as usize).min(ny - 1);
-            iy * nx + ix
-        };
-        let ncells = nx * ny;
+        let ncells = cells.count();
         self.cell_start.clear();
         // Reserve to the `max_cells` cap, not just `ncells`: the actual
         // cell count follows the points' bounding-box shape, so sizing to
         // it would let an unusually elongated frame force a realloc long
         // after the point-count high-water mark stopped moving.
-        self.cell_start.reserve(max_cells + 1);
+        self.cell_start.reserve(max_cells(n) + 1);
         self.cell_start.resize(ncells + 1, 0);
         for i in 0..n {
-            self.cell_start[cell_of(self.xs[i], self.ys[i]) + 1] += 1;
+            let c = cells.index_of(self.point(i));
+            self.cell_start[c + 1] += 1;
         }
         for c in 1..self.cell_start.len() {
             self.cell_start[c] += self.cell_start[c - 1];
@@ -174,7 +150,7 @@ impl<T> SpatialGrid<T> {
         self.cell_items.clear();
         self.cell_items.resize(n, 0);
         for i in 0..n {
-            let c = cell_of(self.xs[i], self.ys[i]);
+            let c = cells.index_of(self.point(i));
             self.cell_items[self.cell_start[c] as usize] = i as u32;
             self.cell_start[c] += 1;
         }
@@ -202,7 +178,7 @@ impl<T> SpatialGrid<T> {
         self.ys.reserve(n);
         self.payloads.reserve(n);
         self.cell_items.reserve(n);
-        self.cell_start.reserve((4 * n).max(1_024) + 1);
+        self.cell_start.reserve(max_cells(n) + 1);
     }
 
     /// Number of indexed points.
@@ -227,117 +203,18 @@ impl<T> SpatialGrid<T> {
 
     /// The (possibly adjusted) cell edge length in metres.
     pub fn cell_size(&self) -> f64 {
-        self.cell_size
+        self.cells.size
     }
 
-    /// Squared Euclidean distance from point `i` to `pos` — bit-identical
-    /// to `Meters::dist2` (same subtraction/FMA-free op order).
-    #[inline]
-    fn dist2_to(&self, i: usize, pos: Meters) -> f64 {
-        let dx = self.xs[i] - pos.x;
-        let dy = self.ys[i] - pos.y;
-        dx * dx + dy * dy
-    }
-
-    fn center_cell(&self, pos: Meters) -> (usize, usize) {
-        let fx = (pos.x - self.origin.x) / self.cell_size;
-        let fy = (pos.y - self.origin.y) / self.cell_size;
-        let cx = if fx <= 0.0 { 0 } else { (fx as usize).min(self.nx - 1) };
-        let cy = if fy <= 0.0 { 0 } else { (fy as usize).min(self.ny - 1) };
-        (cx, cy)
-    }
-
-    /// Calls `f` with the item slice of every in-bounds cell on Chebyshev
-    /// ring `r` around `(cx, cy)`.
-    fn for_ring_cells(&self, cx: usize, cy: usize, r: usize, mut f: impl FnMut(&[u32])) {
-        let slice = |ix: usize, iy: usize| {
-            let c = iy * self.nx + ix;
-            &self.cell_items[self.cell_start[c] as usize..self.cell_start[c + 1] as usize]
-        };
-        if r == 0 {
-            f(slice(cx, cy));
-            return;
-        }
-        let (cx, cy, r) = (cx as i64, cy as i64, r as i64);
-        let x_lo = (cx - r).max(0);
-        let x_hi = (cx + r).min(self.nx as i64 - 1);
-        // Top and bottom rows of the ring.
-        for iy in [cy - r, cy + r] {
-            if (0..self.ny as i64).contains(&iy) {
-                for ix in x_lo..=x_hi {
-                    f(slice(ix as usize, iy as usize));
-                }
-            }
-        }
-        // Left and right columns, excluding the corners already visited.
-        let y_lo = (cy - r + 1).max(0);
-        let y_hi = (cy + r - 1).min(self.ny as i64 - 1);
-        for ix in [cx - r, cx + r] {
-            if (0..self.nx as i64).contains(&ix) {
-                for iy in y_lo..=y_hi {
-                    f(slice(ix as usize, iy as usize));
-                }
-            }
-        }
-    }
-
-    /// After visiting rings `0..=r` around `(cx, cy)`: the smallest
-    /// possible distance (valid for both L2 and L1 — leaving an
-    /// axis-aligned box means crossing one side) from `pos` to any
-    /// unvisited in-grid cell. `None` means every cell has been visited.
-    fn next_ring_bound(&self, pos: Meters, cx: usize, cy: usize, r: usize) -> Option<f64> {
-        let (cx, cy, r) = (cx as i64, cy as i64, r as i64);
-        let mut bound = f64::INFINITY;
-        let mut any = false;
-        if cx - r > 0 {
-            any = true;
-            bound = bound.min(pos.x - (self.origin.x + (cx - r) as f64 * self.cell_size));
-        }
-        if cx + r + 1 < self.nx as i64 {
-            any = true;
-            bound = bound.min(self.origin.x + (cx + r + 1) as f64 * self.cell_size - pos.x);
-        }
-        if cy - r > 0 {
-            any = true;
-            bound = bound.min(pos.y - (self.origin.y + (cy - r) as f64 * self.cell_size));
-        }
-        if cy + r + 1 < self.ny as i64 {
-            any = true;
-            bound = bound.min(self.origin.y + (cy + r + 1) as f64 * self.cell_size - pos.y);
-        }
-        any.then(|| bound.max(0.0))
-    }
-
-    /// Insertion indices of the `k` points nearest to `pos` (Euclidean),
-    /// ordered by `(distance, insertion index)` — exactly what a stable
-    /// sort of all points by distance would yield.
-    pub fn k_nearest(&self, pos: Meters, k: usize) -> Vec<usize> {
-        let mut out = Vec::new();
-        self.k_nearest_into(pos, k, &mut GridScratch::new(), &mut out);
-        out
-    }
-
-    /// Allocation-free [`SpatialGrid::k_nearest`]: clears `out` and fills
-    /// it with the same indices, using `scratch` for candidates.
-    pub fn k_nearest_into(
-        &self,
-        pos: Meters,
-        k: usize,
-        scratch: &mut GridScratch,
-        out: &mut Vec<usize>,
-    ) {
-        out.clear();
-        self.k_nearest_and_l1_core(pos, k, false, scratch, out);
-    }
-
-    /// Fused per-tier kernel: one ring expansion answering both of
-    /// pingClient's questions — the `k` nearest points by Euclidean
-    /// distance (into `out`, same order as [`SpatialGrid::k_nearest`])
-    /// *and* the unbounded L1-nearest point (returned, same answer as
-    /// `nearest_l1(pos, |_| true)`). Visiting the union of the rings
-    /// either query alone would visit changes neither answer (both are
-    /// exact over all visited candidates), so the fusion is
-    /// byte-identical to two separate calls.
+    /// One ring expansion answering both of pingClient's per-tier
+    /// questions. The `k` nearest points by Euclidean distance land in
+    /// `out`, ordered by `(distance, insertion index)`: exactly what a
+    /// stable sort of all points by distance would yield. The return
+    /// value is the point minimizing `(L1 distance, insertion index)`, as
+    /// `(insertion index, L1 distance)`; the L1 metric matches the city
+    /// model's rectilinear drive metric, and the tie-break reproduces a
+    /// first-strictly-less linear scan in insertion order. With `k = 0`
+    /// only the L1 side runs.
     pub fn k_nearest_and_l1_into(
         &self,
         pos: Meters,
@@ -346,45 +223,37 @@ impl<T> SpatialGrid<T> {
         out: &mut Vec<usize>,
     ) -> Option<(usize, f64)> {
         out.clear();
-        self.k_nearest_and_l1_core(pos, k, true, scratch, out)
-    }
-
-    fn k_nearest_and_l1_core(
-        &self,
-        pos: Meters,
-        k: usize,
-        want_l1: bool,
-        scratch: &mut GridScratch,
-        out: &mut Vec<usize>,
-    ) -> Option<(usize, f64)> {
         if self.is_empty() {
             return None;
         }
-        let (cx, cy) = self.center_cell(pos);
+        let cells = &self.cells;
+        let (cx, cy) = cells.center(pos);
         let cands = &mut scratch.cands;
         cands.clear();
         let mut best_l1: Option<(f64, u32)> = None;
-        // Each query keeps its own done-flag; rings expand until both are
+        // Each side keeps its own done-flag; rings expand until both are
         // satisfied (the k-nearest side is vacuously done for k == 0).
         let mut k_done = k == 0;
-        let mut l1_done = !want_l1;
+        let mut l1_done = false;
         let mut r = 0;
         loop {
-            self.for_ring_cells(cx, cy, r, |items| {
+            cells.for_ring(cx, cy, r, |c| {
+                let items = &self.cell_items
+                    [self.cell_start[c] as usize..self.cell_start[c + 1] as usize];
                 for &i in items {
+                    let dx = self.xs[i as usize] - pos.x;
+                    let dy = self.ys[i as usize] - pos.y;
                     if !k_done {
-                        cands.push((self.dist2_to(i as usize, pos), i));
+                        // Same op order as `Meters::dist2`: bit-identical.
+                        cands.push((dx * dx + dy * dy, i));
                     }
-                    if want_l1 {
-                        let dist = (self.xs[i as usize] - pos.x).abs()
-                            + (self.ys[i as usize] - pos.y).abs();
-                        if best_l1.is_none_or(|(bd, bi)| dist < bd || (dist == bd && i < bi)) {
-                            best_l1 = Some((dist, i));
-                        }
+                    let dist = dx.abs() + dy.abs();
+                    if best_l1.is_none_or(|(bd, bi)| dist < bd || (dist == bd && i < bi)) {
+                        best_l1 = Some((dist, i));
                     }
                 }
             });
-            let Some(lb) = self.next_ring_bound(pos, cx, cy, r) else { break };
+            let Some(lb) = cells.next_ring_bound(pos, cx, cy, r) else { break };
             if !k_done && cands.len() >= k {
                 cands.sort_unstable_by(|a, b| a.0.total_cmp(&b.0).then(a.1.cmp(&b.1)));
                 // A later ring can still matter on an exact tie (a
@@ -396,7 +265,7 @@ impl<T> SpatialGrid<T> {
             }
             // Same margin logic for the L1 side: stop only once no
             // unvisited cell can beat (or tie) the best.
-            if !l1_done && best_l1.is_some_and(|(bd, _)| lb > bd) {
+            if best_l1.is_some_and(|(bd, _)| lb > bd) {
                 l1_done = true;
             }
             if k_done && l1_done {
@@ -410,94 +279,6 @@ impl<T> SpatialGrid<T> {
             out.extend(cands.iter().map(|&(_, i)| i as usize));
         }
         best_l1.map(|(d, i)| (i as usize, d))
-    }
-
-    /// Insertion indices of all points within `radius` of `pos`
-    /// (Euclidean, inclusive), in ascending insertion order.
-    pub fn within_radius(&self, pos: Meters, radius: f64) -> Vec<usize> {
-        let mut out = Vec::new();
-        self.within_radius_into(pos, radius, &mut out);
-        out
-    }
-
-    /// Allocation-free [`SpatialGrid::within_radius`]: clears `out` and
-    /// fills it with the same indices.
-    pub fn within_radius_into(&self, pos: Meters, radius: f64, out: &mut Vec<usize>) {
-        out.clear();
-        if self.is_empty() || radius < 0.0 {
-            return;
-        }
-        let (cx, cy) = self.center_cell(pos);
-        let r2 = radius * radius;
-        let mut r = 0;
-        loop {
-            self.for_ring_cells(cx, cy, r, |items| {
-                for &i in items {
-                    if self.dist2_to(i as usize, pos) <= r2 {
-                        out.push(i as usize);
-                    }
-                }
-            });
-            match self.next_ring_bound(pos, cx, cy, r) {
-                Some(lb) if lb <= radius => r += 1,
-                _ => break,
-            }
-        }
-        out.sort_unstable();
-    }
-
-    /// The point minimizing `(L1 distance to pos, insertion index)`
-    /// among those within `max_dist` (inclusive) that pass `filter`,
-    /// as `(insertion index, L1 distance)`.
-    ///
-    /// The L1 metric matches the city model's rectilinear drive metric,
-    /// and the lexicographic tie-break reproduces a first-strictly-less
-    /// linear scan in insertion order. Already allocation-free — the
-    /// caller-buffer discipline of the `_into` variants needs no separate
-    /// entry point here.
-    pub fn nearest_l1_within(
-        &self,
-        pos: Meters,
-        max_dist: f64,
-        mut filter: impl FnMut(&T) -> bool,
-    ) -> Option<(usize, f64)> {
-        if self.is_empty() {
-            return None;
-        }
-        let (cx, cy) = self.center_cell(pos);
-        let mut best: Option<(f64, u32)> = None;
-        let mut r = 0;
-        loop {
-            self.for_ring_cells(cx, cy, r, |items| {
-                for &i in items {
-                    let dist = (self.xs[i as usize] - pos.x).abs()
-                        + (self.ys[i as usize] - pos.y).abs();
-                    if dist <= max_dist
-                        && best.is_none_or(|(bd, bi)| dist < bd || (dist == bd && i < bi))
-                        && filter(&self.payloads[i as usize])
-                    {
-                        best = Some((dist, i));
-                    }
-                }
-            });
-            let Some(lb) = self.next_ring_bound(pos, cx, cy, r) else { break };
-            // Stop once no unvisited cell can beat (or tie) the best, or
-            // can lie within the radius at all.
-            if lb > max_dist || best.is_some_and(|(bd, _)| lb > bd) {
-                break;
-            }
-            r += 1;
-        }
-        best.map(|(d, i)| (i as usize, d))
-    }
-
-    /// Unbounded variant of [`SpatialGrid::nearest_l1_within`].
-    pub fn nearest_l1(
-        &self,
-        pos: Meters,
-        filter: impl FnMut(&T) -> bool,
-    ) -> Option<(usize, f64)> {
-        self.nearest_l1_within(pos, f64::INFINITY, filter)
     }
 }
 
@@ -522,29 +303,21 @@ pub fn auto_cell_size(points: impl Iterator<Item = Meters>) -> f64 {
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
 
-    pub(super) fn brute_k(points: &[Meters], pos: Meters, k: usize) -> Vec<usize> {
+    /// Stable sort of every point by squared distance: ties stay in
+    /// insertion order, the contract the grid must reproduce.
+    pub(crate) fn brute_k(points: &[Meters], pos: Meters, k: usize) -> Vec<usize> {
         let mut v: Vec<(f64, usize)> =
             points.iter().enumerate().map(|(i, p)| (p.dist2(pos), i)).collect();
-        // Stable sort: ties stay in insertion order, the contract the
-        // grid must reproduce.
         v.sort_by(|a, b| a.0.total_cmp(&b.0));
         v.truncate(k);
         v.into_iter().map(|(_, i)| i).collect()
     }
 
-    pub(super) fn brute_radius(points: &[Meters], pos: Meters, radius: f64) -> Vec<usize> {
-        points
-            .iter()
-            .enumerate()
-            .filter(|(_, p)| p.dist2(pos) <= radius * radius)
-            .map(|(i, _)| i)
-            .collect()
-    }
-
-    pub(super) fn brute_l1(points: &[Meters], pos: Meters, max_dist: f64) -> Option<(usize, f64)> {
+    /// First-strictly-less L1 scan in insertion order, within `max_dist`.
+    pub(crate) fn brute_l1(points: &[Meters], pos: Meters, max_dist: f64) -> Option<(usize, f64)> {
         let mut best: Option<(usize, f64)> = None;
         for (i, p) in points.iter().enumerate() {
             let dist = (p.x - pos.x).abs() + (p.y - pos.y).abs();
@@ -559,13 +332,18 @@ mod tests {
         SpatialGrid::build(points.iter().map(|p| (*p, ())).collect(), cell)
     }
 
+    /// The fused kernel's two answers for one query.
+    fn query(g: &SpatialGrid<()>, pos: Meters, k: usize) -> (Vec<usize>, Option<(usize, f64)>) {
+        let mut out = Vec::new();
+        let l1 = g.k_nearest_and_l1_into(pos, k, &mut GridScratch::new(), &mut out);
+        (out, l1)
+    }
+
     #[test]
     fn empty_grid_answers_empty() {
-        let g: SpatialGrid<u32> = SpatialGrid::build(Vec::new(), 100.0);
+        let g: SpatialGrid<()> = SpatialGrid::build(Vec::new(), 100.0);
         assert!(g.is_empty());
-        assert!(g.k_nearest(Meters::new(3.0, 4.0), 5).is_empty());
-        assert!(g.within_radius(Meters::new(3.0, 4.0), 1e9).is_empty());
-        assert!(g.nearest_l1(Meters::new(3.0, 4.0), |_| true).is_none());
+        assert_eq!(query(&g, Meters::new(3.0, 4.0), 5), (vec![], None));
     }
 
     #[test]
@@ -573,8 +351,9 @@ mod tests {
         let pts = [Meters::new(10.0, -20.0)];
         let g = grid_of(&pts, 100.0);
         for pos in [Meters::new(0.0, 0.0), Meters::new(-9e5, 7e5), pts[0]] {
-            assert_eq!(g.k_nearest(pos, 3), vec![0]);
-            assert_eq!(g.nearest_l1(pos, |_| true).map(|(i, _)| i), Some(0));
+            let (k, l1) = query(&g, pos, 3);
+            assert_eq!(k, vec![0]);
+            assert_eq!(l1.map(|(i, _)| i), Some(0));
         }
     }
 
@@ -588,27 +367,12 @@ mod tests {
             Meters::new(100.0, 0.0),
             Meters::new(100.0, 0.0),
         ];
-        let g = grid_of(&pts, 30.0);
         let pos = Meters::new(0.0, 0.0);
-        assert_eq!(g.k_nearest(pos, 3), vec![2, 0, 1]);
-        assert_eq!(g.nearest_l1(pos, |_| true), Some((2, 50.0)));
-        // Filter away the singleton: the tie among the rest goes to
-        // insertion index 0.
-        let g2 = SpatialGrid::build(
-            pts.iter().enumerate().map(|(i, p)| (*p, i)).collect(),
-            30.0,
-        );
-        assert_eq!(g2.nearest_l1(pos, |&i| i != 2), Some((0, 100.0)));
-    }
-
-    #[test]
-    fn radius_is_inclusive() {
-        let pts = [Meters::new(300.0, 400.0), Meters::new(301.0, 400.0)];
-        let g = grid_of(&pts, 120.0);
-        // dist to pts[0] is exactly 500.
-        assert_eq!(g.within_radius(Meters::new(0.0, 0.0), 500.0), vec![0]);
-        assert_eq!(g.nearest_l1_within(Meters::new(0.0, 0.0), 700.0, |_| true), Some((0, 700.0)));
-        assert_eq!(g.nearest_l1_within(Meters::new(0.0, 0.0), 699.0, |_| true), None);
+        assert_eq!(query(&grid_of(&pts, 30.0), pos, 3), (vec![2, 0, 1], Some((2, 50.0))));
+        // Without the singleton the L1 tie among the rest goes to
+        // insertion index 0, and `k = 0` leaves the k side empty.
+        let rest = [pts[0], pts[1], pts[3], pts[4]];
+        assert_eq!(query(&grid_of(&rest, 30.0), pos, 0), (vec![], Some((0, 100.0))));
     }
 
     #[test]
@@ -619,7 +383,8 @@ mod tests {
             (0..100).map(|i| Meters::new(i as f64 * 100.0, 0.0)).collect();
         let g = grid_of(&pts, 0.001);
         assert!(g.cell_size() > 0.001);
-        assert_eq!(g.k_nearest(Meters::new(4_321.0, 5.0), 1), brute_k(&pts, Meters::new(4_321.0, 5.0), 1));
+        let pos = Meters::new(4_321.0, 5.0);
+        assert_eq!(query(&g, pos, 1).0, brute_k(&pts, pos, 1));
     }
 
     #[test]
@@ -639,23 +404,20 @@ mod tests {
             Meters::new(600.0, 600.0), // exactly on a lattice point
             Meters::new(-250.0, 1_800.0), // outside the bbox
         ] {
-            assert_eq!(g.k_nearest(pos, 10), brute_k(&pts, pos, 10), "pos {pos:?}");
-            assert_eq!(g.within_radius(pos, 250.0), brute_radius(&pts, pos, 250.0));
-            assert_eq!(
-                g.nearest_l1(pos, |_| true).map(|(i, d)| (i, d)),
-                brute_l1(&pts, pos, f64::INFINITY)
-            );
+            let (k, l1) = query(&g, pos, 10);
+            assert_eq!(k, brute_k(&pts, pos, 10), "pos {pos:?}");
+            assert_eq!(l1, brute_l1(&pts, pos, f64::INFINITY), "pos {pos:?}");
         }
     }
 
     /// Tiny deterministic PRNG for the seeded equivalence sweeps (the geo
     /// crate deliberately has no RNG dependency).
-    pub(super) struct XorShift(u64);
+    pub(crate) struct XorShift(u64);
     impl XorShift {
-        pub(super) fn new(seed: u64) -> Self {
+        pub(crate) fn new(seed: u64) -> Self {
             XorShift(seed.max(1))
         }
-        pub(super) fn next_u64(&mut self) -> u64 {
+        pub(crate) fn next_u64(&mut self) -> u64 {
             let mut x = self.0;
             x ^= x << 13;
             x ^= x >> 7;
@@ -664,24 +426,22 @@ mod tests {
             x
         }
         /// Uniform in `[lo, hi)`, coarsely quantized (ties on purpose).
-        pub(super) fn f64_in(&mut self, lo: f64, hi: f64) -> f64 {
+        pub(crate) fn f64_in(&mut self, lo: f64, hi: f64) -> f64 {
             let u = (self.next_u64() >> 11) as f64 / (1u64 << 53) as f64;
             let v = lo + u * (hi - lo);
             (v / 50.0).round() * 50.0
         }
     }
 
-    /// Satellite contract: every `_into` variant (and the fused kernel)
-    /// returns byte-identical results to its allocating counterpart,
-    /// across 3 seeds × mixed radii/k, with scratch and output buffers
-    /// reused across queries — and an in-place `rebuild` answers exactly
-    /// like a fresh `build`.
+    /// The fused kernel answers exactly like the brute-force scans, `k =
+    /// 0` included, across 3 seeds with scratch and output buffers reused
+    /// across queries — on fresh grids and on one grid `rebuild`-ed in
+    /// place round after round.
     #[test]
-    fn into_variants_match_allocating_counterparts_across_seeds() {
+    fn fused_kernel_and_rebuild_match_brute_force_across_seeds() {
         let mut scratch = GridScratch::new();
-        let mut out_k = Vec::new();
-        let mut out_r = Vec::new();
-        let mut reused: SpatialGrid<usize> = SpatialGrid::empty();
+        let mut out = Vec::new();
+        let mut reused: SpatialGrid<()> = SpatialGrid::empty();
         for seed in [2026u64, 777, 0xDEAD] {
             let mut rng = XorShift::new(seed);
             for round in 0..12 {
@@ -690,36 +450,23 @@ mod tests {
                     .map(|_| Meters::new(rng.f64_in(-2_500.0, 2_500.0), rng.f64_in(-2_500.0, 2_500.0)))
                     .collect();
                 let cell = 40.0 + (rng.next_u64() % 400) as f64;
-                let g = SpatialGrid::build(
-                    pts.iter().enumerate().map(|(i, p)| (*p, i)).collect(),
-                    cell,
-                );
-                reused.rebuild(pts.iter().enumerate().map(|(i, p)| (*p, i)), cell);
+                let fresh = grid_of(&pts, cell);
+                reused.rebuild(pts.iter().map(|p| (*p, ())), cell);
                 for _ in 0..8 {
                     let pos =
                         Meters::new(rng.f64_in(-3_000.0, 3_000.0), rng.f64_in(-3_000.0, 3_000.0));
                     let k = (rng.next_u64() % 12) as usize;
-                    let radius = (rng.next_u64() % 2_500) as f64;
-
-                    let alloc_k = g.k_nearest(pos, k);
-                    g.k_nearest_into(pos, k, &mut scratch, &mut out_k);
-                    assert_eq!(out_k, alloc_k, "k_nearest_into seed {seed} round {round}");
-                    reused.k_nearest_into(pos, k, &mut scratch, &mut out_k);
-                    assert_eq!(out_k, alloc_k, "rebuilt grid k_nearest seed {seed}");
-
-                    let l1 = g.k_nearest_and_l1_into(pos, k, &mut scratch, &mut out_k);
-                    assert_eq!(out_k, alloc_k, "fused k side seed {seed} round {round}");
-                    assert_eq!(
-                        l1.map(|(i, d)| (i, d.to_bits())),
-                        g.nearest_l1(pos, |_| true).map(|(i, d)| (i, d.to_bits())),
-                        "fused l1 side seed {seed} round {round}"
-                    );
-
-                    let alloc_r = g.within_radius(pos, radius);
-                    g.within_radius_into(pos, radius, &mut out_r);
-                    assert_eq!(out_r, alloc_r, "within_radius_into seed {seed} round {round}");
-                    reused.within_radius_into(pos, radius, &mut out_r);
-                    assert_eq!(out_r, alloc_r, "rebuilt grid within_radius seed {seed}");
+                    let want_k = brute_k(&pts, pos, k);
+                    let want_l1 = brute_l1(&pts, pos, f64::INFINITY).map(|(i, d)| (i, d.to_bits()));
+                    for (name, g) in [("fresh", &fresh), ("rebuilt", &reused)] {
+                        let l1 = g.k_nearest_and_l1_into(pos, k, &mut scratch, &mut out);
+                        assert_eq!(out, want_k, "{name} k side: seed {seed} round {round} k {k}");
+                        assert_eq!(
+                            l1.map(|(i, d)| (i, d.to_bits())),
+                            want_l1,
+                            "{name} l1 side: seed {seed} round {round}"
+                        );
+                    }
                 }
             }
         }
@@ -746,53 +493,11 @@ mod proptests {
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(48))]
 
-        #[test]
-        fn k_nearest_matches_stable_sort(
-            pts in arb_points(120),
-            qx in -3_000.0f64..3_000.0,
-            qy in -3_000.0f64..3_000.0,
-            k in 0usize..12,
-            cell in 40.0f64..400.0,
-        ) {
-            let g = SpatialGrid::build(pts.iter().map(|p| (*p, ())).collect::<Vec<_>>(), cell);
-            let pos = Meters::new(qx, qy);
-            prop_assert_eq!(g.k_nearest(pos, k), brute_k(&pts, pos, k));
-        }
-
-        #[test]
-        fn radius_matches_brute_scan(
-            pts in arb_points(120),
-            qx in -3_000.0f64..3_000.0,
-            qy in -3_000.0f64..3_000.0,
-            radius in 0.0f64..2_500.0,
-            cell in 40.0f64..400.0,
-        ) {
-            let g = SpatialGrid::build(pts.iter().map(|p| (*p, ())).collect::<Vec<_>>(), cell);
-            let pos = Meters::new(qx, qy);
-            prop_assert_eq!(g.within_radius(pos, radius), brute_radius(&pts, pos, radius));
-        }
-
-        #[test]
-        fn nearest_l1_matches_first_min_scan(
-            pts in arb_points(120),
-            qx in -3_000.0f64..3_000.0,
-            qy in -3_000.0f64..3_000.0,
-            max_dist in 0.0f64..4_000.0,
-            cell in 40.0f64..400.0,
-        ) {
-            let g = SpatialGrid::build(pts.iter().map(|p| (*p, ())).collect::<Vec<_>>(), cell);
-            let pos = Meters::new(qx, qy);
-            prop_assert_eq!(
-                g.nearest_l1_within(pos, max_dist, |_| true),
-                brute_l1(&pts, pos, max_dist)
-            );
-        }
-
         /// The fused ring expansion visits the union of the rings either
-        /// query alone would visit; both answers must stay byte-identical
-        /// to their standalone counterparts on arbitrary inputs.
+        /// question alone would need; both answers must stay exact on
+        /// arbitrary inputs.
         #[test]
-        fn fused_kernel_matches_separate_queries(
+        fn fused_kernel_matches_brute_force(
             pts in arb_points(120),
             qx in -3_000.0f64..3_000.0,
             qy in -3_000.0f64..3_000.0,

@@ -97,9 +97,10 @@ impl SurgeSnapshot {
 /// *proposal* — "use a weighted moving average to smooth the price
 /// changes over time" — implemented as an EMA over the raw multiplier;
 /// the `ext01` experiment evaluates what the paper could only suggest.
-#[derive(Debug, Clone, Copy, PartialEq)]
+#[derive(Debug, Clone, Copy, PartialEq, Default)]
 pub enum SurgePolicy {
     /// Publish each window's raw multiplier directly (measured Uber).
+    #[default]
     Threshold,
     /// Exponential moving average with weight `alpha` on the new window
     /// (`alpha = 1` degenerates to `Threshold`).
@@ -107,12 +108,6 @@ pub enum SurgePolicy {
         /// Weight of the newest window in `(0, 1]`.
         alpha: f64,
     },
-}
-
-impl Default for SurgePolicy {
-    fn default() -> Self {
-        SurgePolicy::Threshold
-    }
 }
 
 impl Serialize for SurgePolicy {

@@ -121,7 +121,7 @@ fn drive_conn(cfg: &LoadConfig, conn_id: usize, errors: &AtomicU64) -> io::Resul
     stream.set_write_timeout(Some(Duration::from_secs(10)))?;
 
     let hello = Value::Map(vec![("proto".into(), wire::PROTO_VERSION.to_value())]);
-    wire::write_frame(&mut stream, wire::REQ_HELLO, &hello).map_err(io::Error::from)?;
+    wire::write_frame(&mut stream, wire::REQ_HELLO, &hello)?;
     let (kind, _, _) =
         wire::read_frame(&mut stream, wire::DEFAULT_MAX_FRAME).map_err(|e| e.into_io())?;
     if kind != wire::RESP_HELLO {

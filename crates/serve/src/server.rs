@@ -13,8 +13,8 @@
 //!
 //! A campaign's marketplace advances **only** at the barrier: every member
 //! of the party sends `REQ_ADVANCE(tick+1)`, the last arrival performs the
-//! tick (recycling the snapshot arena exactly like the in-process
-//! `UberSystem`), and everyone is released with the new tick. Between
+//! tick (recycling its snapshot through the same `SnapshotArena` as the
+//! in-process `UberSystem`), and everyone is released with the new tick. Between
 //! barriers the world is frozen, so any interleaving of ping/estimate
 //! requests across connections reads the same snapshot — which is what
 //! makes a remote campaign byte-identical to the in-process one at any
@@ -35,7 +35,7 @@ use std::net::{TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
 use std::time::{Duration, Instant};
-use surgescope_api::{ApiService, ProtocolEra, WorldSnapshot};
+use surgescope_api::{ApiService, ProtocolEra, SnapshotArena, WorldSnapshot};
 use surgescope_city::CityModel;
 use surgescope_geo::LatLng;
 use surgescope_marketplace::{Marketplace, MarketplaceConfig, SurgePolicy};
@@ -181,53 +181,6 @@ impl ServeMetrics {
     }
 }
 
-/// A marketplace + protocol endpoint with the same snapshot arena the
-/// in-process `UberSystem` uses: one snapshot per tick, shell recycled
-/// across ticks when uniquely owned.
-struct HostWorld {
-    mp: Marketplace,
-    api: ApiService,
-    snap: Option<Arc<WorldSnapshot>>,
-    arena: Option<Arc<WorldSnapshot>>,
-}
-
-impl HostWorld {
-    fn new(mp: Marketplace, api: ApiService) -> Self {
-        HostWorld { mp, api, snap: None, arena: None }
-    }
-
-    /// The cached snapshot for the current tick (captured on first use).
-    fn snapshot(&mut self) -> Arc<WorldSnapshot> {
-        if self.snap.is_none() {
-            let snap = match self.arena.take() {
-                Some(mut arc) => match Arc::get_mut(&mut arc) {
-                    Some(s) => {
-                        s.capture(&self.mp);
-                        arc
-                    }
-                    // A ping handler still holds last tick's snapshot
-                    // (racing its final reply): fall back to a fresh
-                    // capture — contents are identical either way.
-                    None => Arc::new(WorldSnapshot::of(&self.mp)),
-                },
-                None => Arc::new(WorldSnapshot::of(&self.mp)),
-            };
-            self.snap = Some(snap);
-        }
-        Arc::clone(self.snap.as_ref().expect("just populated"))
-    }
-
-    fn advance(&mut self) {
-        if let Some(mut arc) = self.snap.take() {
-            if let Some(s) = Arc::get_mut(&mut arc) {
-                s.release_cars();
-                self.arena = Some(arc);
-            }
-        }
-        self.mp.tick();
-    }
-}
-
 /// Locks a mutex, recovering from poisoning. A panicking handler must
 /// not wedge every sibling session sharing the lock: our critical
 /// sections either mutate nothing (the test crash verb) or complete
@@ -248,9 +201,15 @@ struct CampaignHost {
     last_activity: AtomicU64,
 }
 
+/// A hosted world: one lockstep campaign, or the free-running load world
+/// (which has no party, barrier or FINISH).
 struct CampaignState {
     /// `None` once finished (the marketplace was consumed for truth).
-    world: Option<HostWorld>,
+    mp: Option<Marketplace>,
+    api: ApiService,
+    /// This tick's snapshot, recycled across ticks exactly as the
+    /// in-process `UberSystem` recycles its own.
+    snaps: SnapshotArena,
     /// Ground truth computed by the first FINISH, kept so a client whose
     /// connection died mid-FINISH can reconnect and re-ask (idempotent).
     truth: Option<Value>,
@@ -262,6 +221,35 @@ struct CampaignState {
     joined: usize,
     /// Reclaimed by the janitor; barrier waiters bail out with an error.
     expired: bool,
+}
+
+impl CampaignState {
+    fn new(mp: Marketplace, api: ApiService) -> Self {
+        CampaignState {
+            mp: Some(mp),
+            api,
+            snaps: SnapshotArena::new(),
+            truth: None,
+            tick: 0,
+            arrivals: 0,
+            joined: 1,
+            expired: false,
+        }
+    }
+
+    /// The current tick's snapshot, captured on first use.
+    fn snapshot(&mut self) -> Result<Arc<WorldSnapshot>, String> {
+        let mp = self.mp.as_ref().ok_or("campaign already finished")?;
+        Ok(self.snaps.snapshot(mp))
+    }
+
+    /// One world tick.
+    fn advance(&mut self) {
+        if let Some(mp) = &mut self.mp {
+            self.snaps.release();
+            mp.tick();
+        }
+    }
 }
 
 impl CampaignHost {
@@ -277,7 +265,7 @@ impl CampaignHost {
         if st.expired {
             return Err("campaign expired (idle too long)".into());
         }
-        if st.world.is_none() {
+        if st.mp.is_none() {
             return Err("campaign already finished".into());
         }
         if want == st.tick {
@@ -291,7 +279,7 @@ impl CampaignHost {
         }
         st.arrivals += 1;
         if st.arrivals >= self.party {
-            st.world.as_mut().expect("checked above").advance();
+            st.advance();
             st.tick = want;
             st.arrivals = 0;
             self.barrier.notify_all();
@@ -347,7 +335,7 @@ struct Shared {
     next_campaign: AtomicU64,
     active: AtomicUsize,
     campaigns: Mutex<HashMap<u64, Arc<CampaignHost>>>,
-    free: Option<Mutex<HostWorld>>,
+    free: Option<Mutex<CampaignState>>,
     metrics: ServeMetrics,
     registry: MetricsRegistry,
 }
@@ -410,7 +398,7 @@ impl Server {
                     Marketplace::new(city, MarketplaceConfig::default(), spec.seed);
                 mp.run_for(SimDuration::hours(spec.warmup_hours));
                 let api = ApiService::new(spec.era, spec.seed ^ 0xB0B5);
-                Some(Mutex::new(HostWorld::new(mp, api)))
+                Some(Mutex::new(CampaignState::new(mp, api)))
             }
             None => None,
         };
@@ -796,14 +784,7 @@ fn handle_request(
             let api = ApiService::new(era, seed ^ 0xB0B5);
             let host = Arc::new(CampaignHost {
                 party,
-                state: Mutex::new(CampaignState {
-                    world: Some(HostWorld::new(mp, api)),
-                    truth: None,
-                    tick: 0,
-                    arrivals: 0,
-                    joined: 1,
-                    expired: false,
-                }),
+                state: Mutex::new(CampaignState::new(mp, api)),
                 barrier: Condvar::new(),
                 last_activity: AtomicU64::new(shared.now_ms()),
             });
@@ -842,30 +823,9 @@ fn handle_request(
             let tick = host.advance(want, &shared.shutdown)?;
             Reply::ok(wire::RESP_OK, Value::Map(vec![("tick".into(), tick.to_value())]))
         }
-        wire::REQ_PING => {
-            let host = campaign_of(shared, v)?;
-            let key = field_u64(v, "key")?;
-            let loc = latlng_of(v)?;
-            // Snapshot and ping core are extracted under the lock; the
-            // (comparatively expensive) response renders outside it, so
-            // a party's pings are answered concurrently.
-            let (snap, ping) = {
-                let mut st = lock_ok(&host.state);
-                let world =
-                    st.world.as_mut().ok_or("campaign already finished")?;
-                (world.snapshot(), world.api.ping_config())
-            };
-            let resp = ping.ping_client(&snap, key, loc);
-            Reply::ok(wire::RESP_PING, resp.to_value())
-        }
+        wire::REQ_PING => ping_reply(&campaign_of(shared, v)?.state, v),
         wire::REQ_PRICE | wire::REQ_TIME => {
-            let host = campaign_of(shared, v)?;
-            let account = field_u64(v, "account")?;
-            let loc = latlng_of(v)?;
-            let mut st = lock_ok(&host.state);
-            let world = st.world.as_mut().ok_or("campaign already finished")?;
-            let snap = world.snapshot();
-            estimates_reply(shared, &mut world.api, &snap, kind, session, account, loc)
+            estimates_reply(shared, &campaign_of(shared, v)?.state, kind, session, v)
         }
         wire::REQ_FINISH => {
             let host = campaign_of(shared, v)?;
@@ -875,8 +835,9 @@ fn handle_request(
             // between request and reply can reconnect and re-ask.
             let mut st = lock_ok(&host.state);
             if st.truth.is_none() {
-                let world = st.world.take().ok_or("campaign already finished")?;
-                st.truth = Some(world.mp.into_truth().to_value());
+                let mp = st.mp.take().ok_or("campaign already finished")?;
+                st.snaps = SnapshotArena::new();
+                st.truth = Some(mp.into_truth().to_value());
             }
             let truth = st.truth.clone().expect("just populated");
             Reply::ok(
@@ -885,28 +846,33 @@ fn handle_request(
             )
         }
         wire::REQ_PING_FREE => {
-            let free = shared.free.as_ref().ok_or("no free-running world configured")?;
-            let key = field_u64(v, "key")?;
-            let loc = latlng_of(v)?;
-            let (snap, ping) = {
-                let mut world = lock_ok(free);
-                (world.snapshot(), world.api.ping_config())
-            };
-            let resp = ping.ping_client(&snap, key, loc);
+            let reply = ping_reply(free_world(shared)?, v)?;
             shared.metrics.free_pings.incr();
-            Reply::ok(wire::RESP_PING, resp.to_value())
+            Ok(reply)
         }
         wire::REQ_PRICE_FREE | wire::REQ_TIME_FREE => {
-            let free = shared.free.as_ref().ok_or("no free-running world configured")?;
-            let account = field_u64(v, "account")?;
-            let loc = latlng_of(v)?;
-            let mut world = lock_ok(free);
-            let snap = world.snapshot();
             let kind = if kind == wire::REQ_PRICE_FREE { wire::REQ_PRICE } else { wire::REQ_TIME };
-            estimates_reply(shared, &mut world.api, &snap, kind, session, account, loc)
+            estimates_reply(shared, free_world(shared)?, kind, session, v)
         }
         other => Err(format!("unknown request kind {other:#04x}")),
     }
+}
+
+fn free_world(shared: &Shared) -> Result<&Mutex<CampaignState>, String> {
+    Ok(shared.free.as_ref().ok_or("no free-running world configured")?)
+}
+
+/// Serves pingClient. Snapshot and ping core are extracted under the
+/// world's lock; the (comparatively expensive) response renders outside
+/// it, so a party's pings are answered concurrently.
+fn ping_reply(world: &Mutex<CampaignState>, v: &Value) -> Result<Reply, String> {
+    let key = field_u64(v, "key")?;
+    let loc = latlng_of(v)?;
+    let (snap, ping) = {
+        let mut st = lock_ok(world);
+        (st.snapshot()?, st.api.ping_config())
+    };
+    Reply::ok(wire::RESP_PING, ping.ping_client(&snap, key, loc).to_value())
 }
 
 /// Serves `estimates/price` / `estimates/time`, keying the per-account
@@ -915,13 +881,15 @@ fn handle_request(
 /// identity).
 fn estimates_reply(
     shared: &Shared,
-    api: &mut ApiService,
-    snap: &WorldSnapshot,
+    world: &Mutex<CampaignState>,
     kind: u8,
     session: u64,
-    account: u64,
-    loc: LatLng,
+    v: &Value,
 ) -> Result<Reply, String> {
+    let account = field_u64(v, "account")?;
+    let loc = latlng_of(v)?;
+    let mut st = lock_ok(world);
+    let snap = st.snapshot()?;
     let key = surgescope_api::session_key(session, account);
     let throttled = |e: surgescope_api::RateLimitError| {
         shared.metrics.throttled_wire.incr();
@@ -935,14 +903,14 @@ fn estimates_reply(
         }
     };
     match kind {
-        wire::REQ_PRICE => match api.estimates_price(snap, key, loc) {
+        wire::REQ_PRICE => match st.api.estimates_price(&snap, key, loc) {
             Ok(prices) => Reply::ok(
                 wire::RESP_PRICE,
                 Value::Map(vec![("estimates".into(), prices.to_value())]),
             ),
             Err(e) => Ok(throttled(e)),
         },
-        _ => match api.estimates_time(snap, key, loc) {
+        _ => match st.api.estimates_time(&snap, key, loc) {
             Ok(times) => Reply::ok(
                 wire::RESP_TIME,
                 Value::Map(vec![("estimates".into(), times.to_value())]),

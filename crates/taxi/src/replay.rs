@@ -259,7 +259,7 @@ impl<'a> TaxiReplay<'a> {
 pub fn path_displacement(path: &PathVector) -> Option<Meters> {
     let metres = |ll: LatLng| Meters::new(ll.lng * 1e5, ll.lat * 1e5);
     match (path.points().next(), path.last()) {
-        (Some(first), Some(last)) if path.len() >= 2 => Some(metres(last).sub(metres(first))),
+        (Some(first), Some(last)) if path.len() >= 2 => Some(metres(last) - metres(first)),
         _ => None,
     }
 }
@@ -341,7 +341,7 @@ mod tests {
             .map(|(_, s)| {
                 let pts: Vec<Meters> =
                     s.path.points().map(|ll| Meters::new(ll.lng * 1e5, ll.lat * 1e5)).collect();
-                let disp = (pts.len() >= 2).then(|| pts[pts.len() - 1].sub(pts[0]));
+                let disp = (pts.len() >= 2).then(|| pts[pts.len() - 1] - pts[0]);
                 (s.session, s.position, disp)
             })
             .collect()

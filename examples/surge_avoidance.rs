@@ -72,7 +72,7 @@ fn main() {
                 .map(|t| t.estimate_secs as f64 / 60.0)
                 .unwrap_or(0.0);
             let walk = walk_minutes_to_area(&city, rider, n.0);
-            if m < here && walk <= ewt_min && best.map_or(true, |(_, bm, _, _)| m < bm) {
+            if m < here && walk <= ewt_min && best.is_none_or(|(_, bm, _, _)| m < bm) {
                 best = Some((n.0, m, walk, ewt_min));
             }
         }

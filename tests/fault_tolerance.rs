@@ -27,11 +27,13 @@ fn measure_with_faults(plan: FaultPlan) -> (u64, u64) {
         city.measurement_region.clone(),
         vec![],
     );
+    let mut obs = Vec::new();
     for _ in 0..(4 * 720) {
         sys.advance_tick();
         let now = sys.now();
-        for blocks in sys.ping_all(&clients) {
-            est.observe(now, &blocks);
+        sys.ping_all_into(&clients, &mut obs);
+        for blocks in &obs {
+            est.observe(now, blocks);
         }
         est.end_tick(now);
     }

@@ -52,7 +52,6 @@ fn session_ids_rotate_across_shifts() {
         "only {} distinct ids for a churning fleet",
         seen.len()
     );
-    assert_eq!(seen.len() as u64 + 0, seen.len() as u64); // ids unique by set
     assert!(mp.truth().sessions_started as usize >= seen.len() / 2);
 }
 
