@@ -7,13 +7,13 @@
 //! that "data received from pingClient is deterministic" holds by
 //! construction here too.
 
-use crate::jitter::JitterConfig;
+use crate::jitter::{JitterConfig, JitterWindow};
 use crate::messages::{CarInfo, PingClientResponse, PriceEstimate, TimeEstimate, TypeStatus};
 use crate::ratelimit::{RateLimitError, RateLimiter};
 use serde::{Deserialize, Serialize};
 use std::sync::Arc;
 use surgescope_city::{AreaId, CarType, CityModel};
-use surgescope_geo::{GridScratch, LatLng, Meters, PathVector, SpatialGrid};
+use surgescope_geo::{k_nearest_and_l1_scan, LatLng, Meters, PathVector};
 use surgescope_marketplace::{Marketplace, MarketplaceConfig, SurgeSnapshot};
 use surgescope_obs::Counter;
 use surgescope_simcore::{SimRng, SimTime};
@@ -50,15 +50,14 @@ pub struct SnapCar {
     pub path: Arc<PathVector>,
 }
 
-/// Reusable per-caller query buffers for snapshot lookups. Each fan-out
+/// Reusable per-caller query buffer for snapshot lookups. Each fan-out
 /// worker (and the serial ping path) owns one, so per-ping nearest-k
 /// results land in scratch instead of fresh allocations.
 #[derive(Debug, Clone, Default)]
 pub struct PingScratch {
-    /// Ring-search candidate scratch shared by all grid queries.
-    grid: GridScratch,
-    /// Nearest-k indices for the tier currently being visited.
-    idx: Vec<usize>,
+    /// `(squared distance, index)` of the nearest cars of the tier
+    /// currently being visited.
+    nearest: Vec<(f64, usize)>,
 }
 
 impl PingScratch {
@@ -69,9 +68,10 @@ impl PingScratch {
 }
 
 /// A read-only view of the marketplace taken once per tick, with visible
-/// cars pre-grouped by tier — and bucketed into a [`SpatialGrid`] per tier
-/// — so a 43-client fleet neither rescans the driver table nine times per
-/// client nor sorts a tier's whole inventory per nearest-8 query.
+/// cars pre-grouped by tier into contiguous buckets, so a 43-client fleet
+/// neither rescans the driver table nine times per client nor sorts a
+/// tier's whole inventory per nearest-8 query: each query is one linear
+/// pass over its tier's few dozen cars.
 ///
 /// The snapshot is *owned* (city model and surge boards behind `Arc`s):
 /// it borrows nothing from the marketplace, so it can cross thread
@@ -79,23 +79,24 @@ impl PingScratch {
 /// worker pool and delayed-transport machinery both rely on that.
 ///
 /// It is also *reusable*: a [`SnapshotArena`] re-freezes each new tick
-/// into last tick's shell, keeping every buffer (tier buckets, grid slabs)
-/// at capacity, so steady-state capture performs zero heap allocation.
+/// into last tick's shell, keeping every tier bucket at capacity, so
+/// steady-state capture performs zero heap allocation.
 pub struct WorldSnapshot {
     city: Arc<CityModel>,
     cfg: MarketplaceConfig,
     now: SimTime,
+    /// The city's drive speed at `now`, m/s: every EWT of the snapshot
+    /// divides by it.
+    drive_speed: f64,
     by_type: Vec<(CarType, Vec<SnapCar>)>,
-    /// One spatial index per `by_type` entry, over the same car order.
-    grids: Vec<SpatialGrid<()>>,
     /// Surge boards in force when the snapshot was taken (the protocol
     /// layer serves stale-vs-fresh multipliers from these). Shared with
     /// the engine by handle — boards are immutable once published.
     surge_current: Arc<SurgeSnapshot>,
     surge_previous: Arc<SurgeSnapshot>,
     /// High-water mark of the total visible-car count. Every tier bucket
-    /// and grid reserves to this before filling, so a tier whose share of
-    /// the fleet grows never reallocates unless the *total* fleet exceeds
+    /// reserves to this before filling, so a tier whose share of the
+    /// fleet grows never reallocates unless the *total* fleet exceeds
     /// its historical peak — the capacity condition the arena's
     /// zero-allocation guarantee rests on.
     cap_hint: usize,
@@ -110,8 +111,8 @@ impl WorldSnapshot {
             city: mp.city_arc(),
             cfg: *mp.config(),
             now: mp.now(),
+            drive_speed: mp.city().drive_speed_mps(mp.now()),
             by_type: Vec::new(),
-            grids: Vec::new(),
             surge_current: mp.surge_engine().current_arc(),
             surge_previous: mp.surge_engine().previous_arc(),
             cap_hint: 0,
@@ -121,12 +122,13 @@ impl WorldSnapshot {
     }
 
     /// Re-freezes the marketplace's current tick into this snapshot **in
-    /// place**, reusing the tier buckets and grid slabs. Steady state
-    /// (stable tier set, fleet at its high-water mark) allocates nothing.
+    /// place**, reusing the tier buckets. Steady state (stable tier set,
+    /// fleet at its high-water mark) allocates nothing.
     fn capture(&mut self, mp: &Marketplace) {
         self.city = mp.city_arc();
         self.cfg = *mp.config();
         self.now = mp.now();
+        self.drive_speed = mp.city().drive_speed_mps(self.now);
         self.surge_current = mp.surge_engine().current_arc();
         self.surge_previous = mp.surge_engine().previous_arc();
 
@@ -156,15 +158,6 @@ impl WorldSnapshot {
             }
         });
 
-        if self.grids.len() > nt {
-            self.grids.truncate(nt);
-        } else {
-            self.grids.resize_with(nt, SpatialGrid::empty);
-        }
-        for (g, (_, cars)) in self.grids.iter_mut().zip(&self.by_type) {
-            g.reserve(hint);
-            g.rebuild_auto(cars.iter().map(|c| (c.position, ())));
-        }
         // A stochastic fleet keeps setting size records (at a ~1/t decaying
         // rate) forever, so tracking the exact high-water mark would force
         // a re-reservation per record. Growing the hint geometrically
@@ -208,17 +201,25 @@ impl WorldSnapshot {
         self.by_type.iter().map(|(t, _)| *t)
     }
 
+    /// Every offered tier with its visible cars, in the order pings visit
+    /// them: entry `i` is the tier a [`TierPing`] with `tier == i`
+    /// answers, and its nearest indices index this slice.
+    pub fn tiers(&self) -> impl ExactSizeIterator<Item = (CarType, &[SnapCar])> + '_ {
+        self.by_type.iter().map(|(t, v)| (*t, v.as_slice()))
+    }
+
     fn tier_index(&self, t: CarType) -> Option<usize> {
         self.by_type.iter().position(|(ct, _)| *ct == t)
     }
 
-    /// EWT from a resolved nearest-car position (shared by
+    /// EWT from the L1 distance to the tier's L1-nearest car (shared by
     /// [`WorldSnapshot::ewt_minutes`] and the ping path — one formula,
-    /// bit-identical results).
-    fn ewt_from_nearest(&self, pos: Meters, nearest: Option<Meters>) -> f64 {
-        match nearest {
-            Some(car_pos) => {
-                let best = self.city.drive_time_secs(car_pos, pos, self.now);
+    /// bit-identical results). The drive time is the city's
+    /// `drive_time_secs`: that L1 distance over the drive speed.
+    fn ewt_from_l1(&self, l1: Option<f64>) -> f64 {
+        match l1 {
+            Some(dist) => {
+                let best = dist / self.drive_speed;
                 ((best + self.cfg.dispatch_overhead_secs) / 60.0).max(1.0)
             }
             None => self.cfg.default_ewt_min,
@@ -228,16 +229,15 @@ impl WorldSnapshot {
     /// EWT in minutes for a tier at a position, from the snapshot's car
     /// inventory (same formula the marketplace uses internally). Drive
     /// time is monotone in rectilinear distance, so the nearest-L1 car
-    /// from the grid yields the same minimum the full scan found.
+    /// yields the minimum drive time.
     pub fn ewt_minutes(&self, pos: Meters, t: CarType) -> f64 {
-        let nearest = self.tier_index(t).and_then(|ti| {
-            // k = 0 runs only the kernel's L1 side; the empty buffers
-            // never allocate.
-            self.grids[ti]
-                .k_nearest_and_l1_into(pos, 0, &mut GridScratch::new(), &mut Vec::new())
-                .map(|(i, _)| self.by_type[ti].1[i].position)
+        let l1 = self.tier_index(t).and_then(|ti| {
+            let cars = &self.by_type[ti].1;
+            // k = 0 runs only the scan's L1 side; the empty buffer never
+            // allocates.
+            k_nearest_and_l1_scan(cars.iter().map(|c| c.position), pos, 0, &mut Vec::new())
         });
-        self.ewt_from_nearest(pos, nearest)
+        self.ewt_from_l1(l1.map(|(_, dist)| dist))
     }
 }
 
@@ -246,10 +246,10 @@ impl WorldSnapshot {
 /// ends, plus last tick's shell waiting to be captured into.
 ///
 /// It owns the one rule the zero-allocation tick rests on: capture into
-/// the reclaimed shell (tier buckets, grid slabs and the `Arc` box all
-/// reused), and release the driver-shared path handles before the world
-/// ticks — a retained handle would turn every driver's next path append
-/// into a copy-on-write clone. A snapshot still held elsewhere when the
+/// the reclaimed shell (tier buckets and the `Arc` box reused), and
+/// release the driver-shared path handles before the world ticks — a
+/// retained handle would turn every driver's next path append into a
+/// copy-on-write clone. A snapshot still held elsewhere when the
 /// tick ends (a server ping racing the barrier) is not reclaimed; the next
 /// tick then captures a fresh one, with identical contents.
 #[derive(Default)]
@@ -518,18 +518,38 @@ impl PingConfig {
         pick(&snap.surge_current)
     }
 
-    /// Deterministic per-(car, tick) Gaussian position perturbation —
-    /// deterministic so all co-located clients still see identical data
-    /// (the §3.4 calibration must keep passing with noise enabled).
-    fn perturb(&self, p: LatLng, car_id: u64, now: SimTime) -> LatLng {
+    /// Where a pingClient response reports `car` at `now`: its position
+    /// under the driver-safety perturbation, a Gaussian offset seeded per
+    /// (car, tick) — deterministic so all co-located clients still see
+    /// identical data (the §3.4 calibration must keep passing with noise
+    /// enabled). Without noise, the true position.
+    pub fn reported_latlng(&self, car: &SnapCar, now: SimTime) -> LatLng {
         if self.location_noise_m <= 0.0 {
-            return p;
+            return car.latlng;
         }
         let mut rng = SimRng::seed_from_u64(self.bug_seed ^ 0x6507)
-            .split_index("loc-noise", car_id ^ now.as_secs().rotate_left(17));
+            .split_index("loc-noise", car.id ^ now.as_secs().rotate_left(17));
         let de = rng.normal(0.0, self.location_noise_m);
         let dn = rng.normal(0.0, self.location_noise_m);
-        p.offset_m(de, dn)
+        car.latlng.offset_m(de, dn)
+    }
+
+    /// Seconds into `interval` before its new surge board reaches client
+    /// pings (the propagation delay). Pure in `interval`, so a caller
+    /// pinging a whole fleet computes it once per tick.
+    pub fn client_delay(&self, interval: u64) -> u64 {
+        self.update_delay(interval, Consumer::Client)
+    }
+
+    /// The consistency bug's window for `client_key` during `interval`:
+    /// while it is open the client is served the previous board. Always
+    /// `None` in the Feb-2015 era. Pure in its arguments, so a caller
+    /// pinging the same client every tick computes it once per interval.
+    pub fn client_window(&self, client_key: u64, interval: u64) -> Option<JitterWindow> {
+        match self.era {
+            ProtocolEra::Feb2015 => None,
+            ProtocolEra::Apr2015 => self.jitter.window(self.bug_seed, client_key, interval),
+        }
     }
 
     /// Visits each tier's pingClient answer without materializing a wire
@@ -539,11 +559,17 @@ impl PingConfig {
     /// (which renders a [`PingClientResponse`] from it) and the
     /// measurement fan-out (which renders observations directly). Pure:
     /// usable from any worker thread without touching the [`ApiService`].
+    ///
+    /// `delay` and `window` are the client's [`PingConfig::client_delay`]
+    /// and [`PingConfig::client_window`] for the snapshot's interval,
+    /// passed in so a fleet resolves them once per tick and once per
+    /// interval instead of once per ping.
     pub fn ping_visit(
         &self,
         snap: &WorldSnapshot,
-        client_key: u64,
         location: LatLng,
+        delay: u64,
+        window: Option<JitterWindow>,
         scratch: &mut PingScratch,
         mut visit: impl FnMut(&TierPing<'_>),
     ) {
@@ -553,51 +579,41 @@ impl PingConfig {
         let area = city.area_of(pos);
         // Which surge board this client reads is tier-independent: the
         // propagation delay keys on the interval, the bug window on the
-        // client. Resolve the board once; the tier loop only indexes it
-        // (`update_delay`/`window` are pure, so hoisting them out of the
-        // loop yields bit-identical multipliers).
+        // client. Resolve the board once; the tier loop only indexes it.
         let board = area.map(|_| {
-            let interval = now.surge_interval();
             let elapsed = now.seconds_into_surge_interval();
             // Split the two staleness causes so the bug window is counted
-            // separately from ordinary propagation delay; `!delayed &&`
-            // preserves the original short-circuit (a ping inside the
-            // delay window never consults the jitter window).
-            let delayed = elapsed < self.update_delay(interval, Consumer::Client);
-            let jittered = !delayed
-                && self.era == ProtocolEra::Apr2015
-                && self
-                    .jitter
-                    .window(self.bug_seed, client_key, interval)
-                    .is_some_and(|w| w.contains(elapsed));
+            // separately from ordinary propagation delay: a ping inside
+            // the delay window is never a window hit.
+            let delayed = elapsed < delay;
+            let jittered = !delayed && window.is_some_and(|w| w.contains(elapsed));
             if jittered {
                 self.jitter_hits.incr();
             }
             if delayed || jittered { &snap.surge_previous } else { &snap.surge_current }
         });
-        for ti in 0..snap.by_type.len() {
-            let (t, cars) = (snap.by_type[ti].0, snap.by_type[ti].1.as_slice());
-            // Fused kernel: nearest-8 and the EWT's L1-nearest car in one
-            // ring expansion, byte-identical to the separate queries.
-            let l1 = snap.grids[ti].k_nearest_and_l1_into(
+        for (tier, (t, cars)) in snap.tiers().enumerate() {
+            // One pass: nearest-8 and the EWT's L1-nearest car.
+            let l1 = k_nearest_and_l1_scan(
+                cars.iter().map(|c| c.position),
                 pos,
                 NEAREST_CARS_SHOWN,
-                &mut scratch.grid,
-                &mut scratch.idx,
+                &mut scratch.nearest,
             );
-            let ewt_min = snap.ewt_from_nearest(pos, l1.map(|(i, _)| cars[i].position));
+            let ewt_min = snap.ewt_from_l1(l1.map(|(_, dist)| dist));
             let surge = match (board, area) {
                 (Some(b), Some(a)) => b.multiplier(a, t),
                 _ => 1.0,
             };
             visit(&TierPing {
                 car_type: t,
+                tier,
                 ewt_min,
                 surge,
                 ping: self,
                 now,
                 cars,
-                nearest: &scratch.idx,
+                nearest: &scratch.nearest,
             });
         }
     }
@@ -611,9 +627,12 @@ impl PingConfig {
         client_key: u64,
         location: LatLng,
     ) -> PingClientResponse {
+        let interval = snap.now().surge_interval();
+        let (delay, window) =
+            (self.client_delay(interval), self.client_window(client_key, interval));
         let mut scratch = PingScratch::new();
         let mut statuses = Vec::with_capacity(snap.by_type.len());
-        self.ping_visit(snap, client_key, location, &mut scratch, |tier| {
+        self.ping_visit(snap, location, delay, window, &mut scratch, |tier| {
             statuses.push(TypeStatus {
                 car_type: tier.car_type,
                 cars: tier
@@ -634,6 +653,8 @@ impl PingConfig {
 pub struct TierPing<'a> {
     /// Product tier.
     pub car_type: CarType,
+    /// The tier's position among the snapshot's [`WorldSnapshot::tiers`].
+    pub tier: usize,
     /// Estimated wait time, minutes.
     pub ewt_min: f64,
     /// Surge multiplier at the client's location.
@@ -641,24 +662,25 @@ pub struct TierPing<'a> {
     ping: &'a PingConfig,
     now: SimTime,
     cars: &'a [SnapCar],
-    nearest: &'a [usize],
+    nearest: &'a [(f64, usize)],
 }
 
 impl<'a> TierPing<'a> {
+    /// The shown cars' indices into the tier's cars (entry
+    /// [`TierPing::tier`] of [`WorldSnapshot::tiers`]), nearest first.
+    pub fn nearest(&self) -> impl ExactSizeIterator<Item = usize> + 'a {
+        self.nearest.iter().map(|&(_, i)| i)
+    }
+
     /// The shown cars, nearest first, as `(public id, reported position,
     /// shared path handle)`. Reported positions include the driver-safety
     /// perturbation — identical to the [`CarInfo`]s the wire response
     /// would carry.
     pub fn cars(&self) -> impl Iterator<Item = (u64, LatLng, &'a Arc<PathVector>)> + '_ {
-        self.nearest.iter().map(move |&i| {
+        self.nearest().map(move |i| {
             let c = &self.cars[i];
-            (c.id, self.ping.perturb(c.latlng, c.id, self.now), &c.path)
+            (c.id, self.ping.reported_latlng(c, self.now), &c.path)
         })
-    }
-
-    /// Number of cars shown for this tier.
-    pub fn shown(&self) -> usize {
-        self.nearest.len()
     }
 }
 
@@ -841,6 +863,44 @@ mod tests {
                 );
             }
         }
+    }
+
+    /// `ewt_minutes` from the tier scan equals the marketplace formula over
+    /// a brute-force first-strictly-closer L1 scan of the tier's cars, bit
+    /// for bit: drive time via `CityModel::drive_time_secs`, the default
+    /// for a tier with no visible car or none offered.
+    #[test]
+    fn ewt_minutes_matches_a_brute_l1_scan() {
+        let mp = busy_world();
+        let snap = WorldSnapshot::of(&mp);
+        let (city, cfg) = (mp.city(), mp.config());
+        let c = city.measurement_region.centroid();
+        let mut checked = [0usize; 2];
+        for t in CarType::ALL {
+            for step in 0..49 {
+                let pos = Meters::new(
+                    c.x + 400.0 * (step % 7) as f64 - 1_200.0,
+                    c.y + 400.0 * (step / 7) as f64 - 1_200.0,
+                );
+                let mut best: Option<(f64, Meters)> = None;
+                for car in snap.cars_of(t) {
+                    let d = (car.position.x - pos.x).abs() + (car.position.y - pos.y).abs();
+                    if best.is_none_or(|(bd, _)| d < bd) {
+                        best = Some((d, car.position));
+                    }
+                }
+                let want = match best {
+                    Some((_, car)) => {
+                        let secs = city.drive_time_secs(car, pos, snap.now());
+                        ((secs + cfg.dispatch_overhead_secs) / 60.0).max(1.0)
+                    }
+                    None => cfg.default_ewt_min,
+                };
+                checked[best.is_some() as usize] += 1;
+                assert_eq!(snap.ewt_minutes(pos, t).to_bits(), want.to_bits(), "{t} at {pos:?}");
+            }
+        }
+        assert!(checked.iter().all(|&n| n > 0), "both branches must run: {checked:?}");
     }
 
     #[test]

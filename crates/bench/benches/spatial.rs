@@ -1,87 +1,57 @@
-//! Benchmarks for the spatial bucket grid and the parallel ping fan-out.
+//! Benchmarks for the per-tier nearest-car scan and the parallel ping
+//! fan-out.
 //!
-//! `spatial_grid` compares the grid's fused ring-search kernel (nearest-8
-//! plus L1-nearest, and L1-nearest alone at `k = 0`) against the
-//! brute-force scans it replaced, at tier-inventory sizes typical of a
-//! scaled SF world. `ping_all_sf` measures the whole per-tick measurement
-//! hot loop (snapshot + every client ping into a reused buffer) at 1/2/4
-//! worker threads.
+//! `spatial_grid` times the snapshot's linear tier scan
+//! (`k_nearest_and_l1_scan`: nearest-8 plus L1-nearest, and L1-nearest
+//! alone at `k = 0`) beside the bucket grid it replaced, including the
+//! grid's per-tick build, at the tier sizes an SF snapshot holds: 8, 32
+//! and 128 visible cars (UberX averages about 58 over a day and peaks
+//! near 109; every other tier stays under 30). `ping_all_sf` measures the
+//! whole per-tick measurement hot loop (snapshot + every client ping into
+//! a reused buffer) at 1/2/4 worker threads.
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use std::hint::black_box;
 use surgescope_api::{ApiService, ProtocolEra};
 use surgescope_city::CityModel;
 use surgescope_core::{ClientSpec, MeasuredSystem, UberSystem};
-use surgescope_geo::{GridScratch, Meters, SpatialGrid};
+use surgescope_geo::{k_nearest_and_l1_scan, GridScratch, Meters, SpatialGrid};
 use surgescope_marketplace::{Marketplace, MarketplaceConfig};
 use surgescope_simcore::{SimDuration, SimRng};
 
-fn scatter(n: usize, seed: u64) -> Vec<(Meters, u32)> {
+fn scatter(n: usize, seed: u64) -> Vec<Meters> {
     let mut rng = SimRng::seed_from_u64(seed);
-    (0..n)
-        .map(|i| {
-            (Meters::new(rng.range_f64(0.0, 8_000.0), rng.range_f64(0.0, 6_000.0)), i as u32)
-        })
-        .collect()
-}
-
-fn brute_k_nearest(pts: &[(Meters, u32)], pos: Meters, k: usize) -> Vec<u32> {
-    let mut v: Vec<(f64, u32)> = pts.iter().map(|(p, id)| (p.dist2(pos), *id)).collect();
-    v.sort_by(|a, b| a.0.total_cmp(&b.0));
-    v.truncate(k);
-    v.into_iter().map(|(_, id)| id).collect()
-}
-
-fn brute_nearest_l1(pts: &[(Meters, u32)], pos: Meters) -> Option<u32> {
-    let mut best: Option<(f64, u32)> = None;
-    for (p, id) in pts {
-        let d = (p.x - pos.x).abs() + (p.y - pos.y).abs();
-        if best.is_none_or(|(b, _)| d < b) {
-            best = Some((d, *id));
-        }
-    }
-    best.map(|(_, id)| id)
+    (0..n).map(|_| Meters::new(rng.range_f64(0.0, 8_000.0), rng.range_f64(0.0, 6_000.0))).collect()
 }
 
 fn bench_spatial_grid(c: &mut Criterion) {
     let mut g = c.benchmark_group("spatial_grid");
 
-    for &n in &[512usize, 4_096] {
+    for &n in &[8usize, 32, 128] {
         let pts = scatter(n, 7);
-        let grid = SpatialGrid::build_auto(pts.clone());
-        let queries: Vec<Meters> = scatter(64, 8).into_iter().map(|(p, _)| p).collect();
-        let (mut scratch, mut out) = (GridScratch::new(), Vec::new());
+        let grid = SpatialGrid::build_auto(pts.iter().map(|&p| (p, ())).collect());
+        let queries = scatter(64, 8);
+        let (mut scratch, mut out, mut nearest) = (GridScratch::new(), Vec::new(), Vec::new());
 
-        g.bench_function(&format!("k_nearest8_and_l1_grid_n{n}"), |b| {
-            b.iter(|| {
-                for &q in &queries {
-                    black_box(grid.k_nearest_and_l1_into(q, 8, &mut scratch, &mut out));
-                }
-            })
-        });
-        g.bench_function(&format!("k_nearest8_brute_n{n}"), |b| {
-            b.iter(|| {
-                for &q in &queries {
-                    black_box(brute_k_nearest(&pts, q, 8));
-                }
-            })
-        });
-        g.bench_function(&format!("nearest_l1_grid_n{n}"), |b| {
-            b.iter(|| {
-                for &q in &queries {
-                    black_box(grid.k_nearest_and_l1_into(q, 0, &mut scratch, &mut out));
-                }
-            })
-        });
-        g.bench_function(&format!("nearest_l1_brute_n{n}"), |b| {
-            b.iter(|| {
-                for &q in &queries {
-                    black_box(brute_nearest_l1(&pts, q));
-                }
-            })
-        });
-        g.bench_function(&format!("build_n{n}"), |b| {
-            b.iter(|| black_box(SpatialGrid::build_auto(pts.clone())))
+        for k in [8usize, 0] {
+            let what = if k == 0 { "nearest_l1" } else { "k_nearest8_and_l1" };
+            g.bench_function(&format!("{what}_scan_n{n}"), |b| {
+                b.iter(|| {
+                    for &q in &queries {
+                        black_box(k_nearest_and_l1_scan(pts.iter().copied(), q, k, &mut nearest));
+                    }
+                })
+            });
+            g.bench_function(&format!("{what}_grid_n{n}"), |b| {
+                b.iter(|| {
+                    for &q in &queries {
+                        black_box(grid.k_nearest_and_l1_into(q, k, &mut scratch, &mut out));
+                    }
+                })
+            });
+        }
+        g.bench_function(&format!("grid_build_n{n}"), |b| {
+            b.iter(|| black_box(SpatialGrid::build_auto(pts.iter().map(|&p| (p, ())).collect())))
         });
     }
 

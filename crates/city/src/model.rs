@@ -110,6 +110,9 @@ impl CityModel {
     /// builders; exposed for tests of custom cities.
     pub fn validate(&self) {
         assert_eq!(self.areas.len(), self.adjacency.len(), "adjacency size mismatch");
+        for (i, area) in self.areas.iter().enumerate() {
+            assert_eq!(area.id, AreaId(i), "area ids must be their indices");
+        }
         let mix_sum: f64 = self.fleet_mix.iter().map(|(_, f)| f).sum();
         assert!((mix_sum - 1.0).abs() < 1e-6, "fleet mix sums to {mix_sum}");
         for (i, neighbours) in self.adjacency.iter().enumerate() {

@@ -705,9 +705,10 @@ impl CampaignRunner {
                 for car in &x.cars {
                     self.daily_sets[i].insert(car.id);
                     self.interval_sets[i].insert(car.id);
-                    self.transitions.observe(car.id, car.position);
-                    if let Some(a) = self.city.area_of(car.position) {
-                        self.tick_area_sets[a.0].insert(car.id);
+                    // The tracker's area polygons are the city's, in
+                    // area-id order: its index is `city.area_of`'s id.
+                    if let Some(a) = self.transitions.observe(car.id, car.position) {
+                        self.tick_area_sets[a].insert(car.id);
                     }
                 }
             }

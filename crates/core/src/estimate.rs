@@ -13,7 +13,7 @@
 //!   boundary, or with IDs that flickered — are filtered entirely (§4.1).
 //! * Per-ID **lifespans** feed the Fig. 7 CDFs.
 
-use crate::observe::TypeObservation;
+use crate::observe::{ObservedCar, TypeObservation};
 use serde::{Deserialize, Error, Serialize, Value};
 use std::collections::HashMap;
 use surgescope_simcore::{FastHashMap, FastHashSet};
@@ -49,6 +49,22 @@ impl Default for EstimatorConfig {
             edge_requires_outbound: true,
         }
     }
+}
+
+/// One sighting exactly as [`SupplyDemandEstimator::observe`] applies it:
+/// time, tier, position bits and displacement bits (`None` as a flag).
+type Sighting = (SimTime, CarType, [u64; 5]);
+
+fn sighting(now: SimTime, car_type: CarType, car: &ObservedCar) -> Sighting {
+    let d = car.displacement.unwrap_or(Meters::new(0.0, 0.0));
+    let bits = [
+        car.position.x.to_bits(),
+        car.position.y.to_bits(),
+        car.displacement.is_some() as u64,
+        d.x.to_bits(),
+        d.y.to_bits(),
+    ];
+    (now, car_type, bits)
 }
 
 #[derive(Debug, Clone, Serialize, Deserialize)]
@@ -102,6 +118,13 @@ pub struct SupplyDemandEstimator {
     pub edge_filtered: u64,
     /// Whether the open interval has unsaved observations.
     dirty: bool,
+    /// The sighting last applied per car id this tick. Re-applying it is
+    /// a no-op, so an identical repeat (the same car shown to several
+    /// clients) is skipped. Cleared by `end_tick` (the reap may remove
+    /// the car) and never serialized: it is empty at tick boundaries.
+    applied: FastHashMap<u64, Sighting>,
+    /// Reused buffer for the ids `reap` finalizes.
+    stale: Vec<u64>,
 }
 
 impl SupplyDemandEstimator {
@@ -127,6 +150,8 @@ impl SupplyDemandEstimator {
             short_lived_filtered: 0,
             edge_filtered: 0,
             dirty: false,
+            applied: FastHashMap::default(),
+            stale: Vec::new(),
         }
     }
 
@@ -145,10 +170,22 @@ impl SupplyDemandEstimator {
     /// refreshes `last_seen` and so keeps a car alive through the death
     /// grace — dropped and delayed pings thus degrade the estimate
     /// smoothly instead of fabricating deaths.
+    ///
+    /// A sighting identical to the one last applied for its car in this
+    /// tick is skipped: every step below is idempotent, so applying it
+    /// again would change nothing. A different sighting of the same car
+    /// (a stale re-sighting at another position) is applied, in order.
     pub fn observe(&mut self, now: SimTime, blocks: &[TypeObservation]) {
         self.dirty = true;
         for block in blocks {
             for car in &block.cars {
+                // Look up before inserting: repeats are the common case,
+                // and a lookup costs less than an insert.
+                let seen = sighting(now, block.car_type, car);
+                if self.applied.get(&car.id) == Some(&seen) {
+                    continue;
+                }
+                self.applied.insert(car.id, seen);
                 if !self.region.contains(car.position) {
                     continue;
                 }
@@ -184,6 +221,7 @@ impl SupplyDemandEstimator {
     /// fed; `now` is the time the tick *ended* (i.e. the next tick's
     /// start). Finalizes stale cars and closes 5-minute intervals.
     pub fn end_tick(&mut self, now: SimTime) {
+        self.applied.clear();
         self.reap(now);
         if now.seconds_into_surge_interval() == 0 && now.as_secs() > 0 {
             if self.dirty {
@@ -198,6 +236,7 @@ impl SupplyDemandEstimator {
     /// trips), the short-lived filter is applied, and the open interval
     /// closes.
     pub fn finish(&mut self, now: SimTime) {
+        self.applied.clear();
         self.live.clear();
         // Drain in sorted-ID order: HashMap iteration order would make the
         // lifespans vec differ between runs, breaking the bit-identical
@@ -221,17 +260,19 @@ impl SupplyDemandEstimator {
 
     fn reap(&mut self, now: SimTime) {
         let grace = self.cfg.death_grace_secs;
-        let mut stale: Vec<u64> = self
-            .live
-            .iter()
-            .filter(|(_, c)| now.as_secs().saturating_sub(c.last_seen.as_secs()) > grace)
-            .map(|(id, _)| *id)
-            .collect();
+        let mut stale = std::mem::take(&mut self.stale);
+        stale.clear();
+        stale.extend(
+            self.live
+                .iter()
+                .filter(|(_, c)| now.as_secs().saturating_sub(c.last_seen.as_secs()) > grace)
+                .map(|(id, _)| *id),
+        );
         // Sorted so death_events order (and per-interval tallies' insertion
         // order) is a pure function of the observations, not of HashMap
         // iteration order — required for bit-identical resume comparisons.
         stale.sort_unstable();
-        for id in stale {
+        for &id in &stale {
             let car = self.live.remove(&id).unwrap();
             // Short-lived filter on the *total* span this ID has been
             // around (boundary flickers are measurement artifacts, but a
@@ -291,6 +332,7 @@ impl SupplyDemandEstimator {
                 }
             }
         }
+        self.stale = stale;
     }
 
     fn close_interval(&mut self) {
@@ -429,6 +471,8 @@ impl Deserialize for SupplyDemandEstimator {
             short_lived_filtered: u64::from_value(v.field("short_lived_filtered")?)?,
             edge_filtered: u64::from_value(v.field("edge_filtered")?)?,
             dirty: bool::from_value(v.field("dirty")?)?,
+            applied: FastHashMap::default(),
+            stale: Vec::new(),
         })
     }
 }
@@ -746,6 +790,82 @@ mod tests {
         assert_eq!(a.lifespans, b.lifespans);
         assert_eq!(a.short_lived_filtered, b.short_lived_filtered);
         assert_eq!(a.to_value(), b.to_value());
+    }
+
+    /// Feeding every client's copy of a sighting, as the runner does,
+    /// gives the same state, byte for byte, as feeding by hand only the
+    /// sighting that decides each car's state in the tick — its last one
+    /// (every car stays within one area per tick, so the sets agree too).
+    /// Late blocks re-sight cars where they were a tick ago: car 1 mid-
+    /// tick (later fresh repeats must apply again), car 6 as its last
+    /// sighting (a different position must not pass for a repeat); car
+    /// 5's late sighting differs only in displacement; car 3 sits outside
+    /// the region.
+    #[test]
+    fn duplicate_sightings_leave_the_same_state_as_deduplicated_ones() {
+        let areas = vec![
+            Polygon::rect(Meters::new(0.0, 0.0), Meters::new(1000.0, 2000.0)),
+            Polygon::rect(Meters::new(1000.0, 0.0), Meters::new(2000.0, 2000.0)),
+        ];
+        let cfg = EstimatorConfig::default();
+        let mut dup = SupplyDemandEstimator::new(cfg, region(), areas.clone());
+        let mut dedup = SupplyDemandEstimator::new(cfg, region(), areas);
+        let car = |id: u64, x: f64, disp: Option<Meters>| ObservedCar {
+            id,
+            position: Meters::new(x, 900.0),
+            displacement: disp,
+        };
+        let blocks = |cars: Vec<ObservedCar>| {
+            vec![TypeObservation { car_type: CarType::UberX, cars, ewt_min: 2.0, surge: 1.0 }]
+        };
+        let east = Some(Meters::new(25.0, 0.0));
+        let mut t = 0u64;
+        while t < 1200 {
+            let now = SimTime(t);
+            // Cars 1 and 6 drive east inside area 1; car 4 stops showing
+            // up after 10 minutes (a death).
+            let x = 1100.0 + (t / 2) as f64;
+            let mut fresh = vec![
+                car(1, x, east),
+                car(2, 300.0, None),
+                car(3, -50.0, None),
+                car(5, 700.0, east),
+                car(6, x + 100.0, east),
+            ];
+            if t < 600 {
+                fresh.push(car(4, 1500.0, east));
+            }
+            let stale_1 = blocks(vec![car(1, x - 5.0, east)]);
+            let stale_5 = blocks(vec![car(5, 700.0, None)]);
+            let stale_6 = blocks(vec![car(6, x + 95.0, east)]);
+            for client in 0..4 {
+                dup.observe(now, &blocks(fresh.clone()));
+                if client == 1 {
+                    dup.observe(now, &stale_1);
+                    dup.observe(now, &stale_1);
+                }
+                if client == 3 {
+                    dup.observe(now, &stale_5);
+                    dup.observe(now, &stale_6);
+                }
+            }
+            let mut last = fresh.clone();
+            last[3] = stale_5[0].cars[0];
+            last[4] = stale_6[0].cars[0];
+            dedup.observe(now, &blocks(last));
+            t += 5;
+            dup.end_tick(SimTime(t));
+            dedup.end_tick(SimTime(t));
+            assert_eq!(
+                surgescope_store::encode_to_vec(&dup.to_value()),
+                surgescope_store::encode_to_vec(&dedup.to_value()),
+                "state diverged at t={t}"
+            );
+        }
+        dup.finish(SimTime(t));
+        dedup.finish(SimTime(t));
+        assert_eq!(dup.to_value(), dedup.to_value());
+        assert_eq!(dup.death_events.len(), 1, "car 4 dies once");
     }
 
     #[test]

@@ -10,7 +10,8 @@
 use crate::observe::{ClientSpec, ObservedCar, TypeObservation};
 use std::sync::{mpsc, Arc};
 use surgescope_api::{
-    ApiService, PingConfig, PingScratch, SnapshotArena, WorldSnapshot, NEAREST_CARS_SHOWN,
+    ApiService, JitterWindow, PingConfig, PingScratch, SnapshotArena, WorldSnapshot,
+    NEAREST_CARS_SHOWN,
 };
 use surgescope_city::CarType;
 use surgescope_geo::LocalProjection;
@@ -87,6 +88,14 @@ pub struct UberSystem {
     /// same-tick probes (campaign estimates, experiment price probes),
     /// and recycled into next tick's by `advance_tick`.
     snaps: SnapshotArena,
+    /// This tick's snapshot rendered car by car, shared with pool workers
+    /// by `Arc`. Re-rendered in place on the first `ping_all_into` after
+    /// each capture (`table_fresh` is cleared when the world ticks).
+    table: Arc<RenderTable>,
+    table_fresh: bool,
+    /// Each client slot's consistency-bug window for the current
+    /// interval, as `(client key, interval, window)`.
+    windows: Vec<(u64, u64, Option<JitterWindow>)>,
     /// Query scratch for the serial ping path (pool workers own theirs).
     scratch: PingScratch,
     /// Reused fault-outcome buffer for the serial pre-pass.
@@ -102,12 +111,62 @@ pub struct UberSystem {
     metrics: SystemMetrics,
 }
 
+/// Every visible car of one tick's snapshot, rendered once as a client
+/// records it: reported (perturbed) position projected to the city's
+/// planar frame, and path displacement. A tick shows the same few dozen
+/// cars to every client — each car about 17–20 times in an SF tick — so
+/// pings copy rows of this table instead of rendering per sighting.
+#[derive(Debug, Clone, Default)]
+struct RenderTable {
+    /// Rendered cars, tier after tier in [`WorldSnapshot::tiers`] order,
+    /// each tier's cars in snapshot order.
+    cars: Vec<ObservedCar>,
+    /// Tier `t`'s rows are `cars[starts[t]..starts[t + 1]]`.
+    starts: Vec<usize>,
+}
+
+impl RenderTable {
+    /// Re-renders `snap` in place, reusing both buffers.
+    fn render(&mut self, snap: &WorldSnapshot, ping: &PingConfig, proj: &LocalProjection) {
+        let now = snap.now();
+        self.cars.clear();
+        self.starts.clear();
+        self.starts.push(0);
+        for (_, cars) in snap.tiers() {
+            self.cars.extend(cars.iter().map(|c| ObservedCar {
+                id: c.id,
+                position: proj.to_meters(ping.reported_latlng(c, now)),
+                displacement: c.path.displacement(proj),
+            }));
+            self.starts.push(self.cars.len());
+        }
+    }
+
+    /// Tier `t`'s rendered cars, in snapshot order.
+    fn tier(&self, t: usize) -> &[ObservedCar] {
+        &self.cars[self.starts[t]..self.starts[t + 1]]
+    }
+}
+
+/// What every ping of one tick shares.
+struct TickPing<'a> {
+    ping: &'a PingConfig,
+    snap: &'a WorldSnapshot,
+    table: &'a RenderTable,
+    proj: &'a LocalProjection,
+    /// The interval's client propagation delay.
+    delay: u64,
+}
+
 /// One chunk of a tick's fan-out, shipped to a pool worker.
 struct PingJob {
     snap: Arc<WorldSnapshot>,
+    table: Arc<RenderTable>,
     ping: PingConfig,
     proj: LocalProjection,
+    delay: u64,
     clients: Arc<Vec<ClientSpec>>,
+    windows: Arc<Vec<Option<JitterWindow>>>,
     outcomes: Arc<Vec<FaultOutcome>>,
     /// Client range `start..end` this job covers.
     start: usize,
@@ -139,20 +198,23 @@ impl PingPool {
                 // the same candidate and index buffers.
                 let mut scratch = PingScratch::new();
                 for job in job_rx {
+                    let tick = TickPing {
+                        ping: &job.ping,
+                        snap: &job.snap,
+                        table: &job.table,
+                        proj: &job.proj,
+                        delay: job.delay,
+                    };
                     let mut out = Vec::with_capacity(job.end - job.start);
-                    for (c, &oc) in job.clients[job.start..job.end]
-                        .iter()
-                        .zip(&job.outcomes[job.start..job.end])
-                    {
+                    for i in job.start..job.end {
                         // A fresh response has no blocks to retire, so
                         // its spare pool stays empty.
                         let mut resp = Vec::new();
                         ping_one_into(
-                            &job.ping,
-                            &job.snap,
-                            &job.proj,
-                            c,
-                            oc,
+                            &tick,
+                            &job.clients[i],
+                            job.windows[i],
+                            job.outcomes[i],
                             &mut scratch,
                             &mut Vec::new(),
                             &mut resp,
@@ -176,26 +238,34 @@ impl PingPool {
     /// Fans `clients` out over the workers in contiguous chunks and
     /// reassembles the answers in client order — every byte of the result
     /// matches the serial path regardless of scheduling.
+    #[allow(clippy::too_many_arguments)]
     fn run(
         &self,
         snap: &Arc<WorldSnapshot>,
+        table: &Arc<RenderTable>,
         ping: PingConfig,
         proj: LocalProjection,
+        delay: u64,
         clients: &[ClientSpec],
+        windows: &[(u64, u64, Option<JitterWindow>)],
         outcomes: &[FaultOutcome],
     ) -> Vec<Vec<TypeObservation>> {
         let n = clients.len();
         let chunk_size = n.div_ceil(self.threads());
         let clients = Arc::new(clients.to_vec());
+        let windows = Arc::new(windows.iter().map(|&(_, _, w)| w).collect());
         let outcomes = Arc::new(outcomes.to_vec());
         let mut chunks = 0;
         for (i, start) in (0..n).step_by(chunk_size).enumerate() {
             let job = PingJob {
                 snap: Arc::clone(snap),
+                table: Arc::clone(table),
                 // Arc-handle bump (shared jitter counter), not a deep copy.
                 ping: ping.clone(),
                 proj,
+                delay,
                 clients: Arc::clone(&clients),
+                windows: Arc::clone(&windows),
                 outcomes: Arc::clone(&outcomes),
                 start,
                 end: (start + chunk_size).min(n),
@@ -241,6 +311,9 @@ impl UberSystem {
             parallelism: 1,
             pool: None,
             snaps: SnapshotArena::new(),
+            table: Arc::default(),
+            table_fresh: false,
+            windows: Vec::new(),
             scratch: PingScratch::new(),
             outcomes: Vec::new(),
             spare_blocks: Vec::new(),
@@ -329,24 +402,45 @@ impl UberSystem {
     }
 }
 
+/// Refreshes each client slot's cached consistency-bug window for
+/// `interval`. An entry is recomputed only when the interval or the
+/// client in its slot changed, so a fixed fleet computes each window once
+/// per interval.
+fn refresh_windows(
+    cache: &mut Vec<(u64, u64, Option<JitterWindow>)>,
+    ping: &PingConfig,
+    clients: &[ClientSpec],
+    interval: u64,
+) {
+    cache.truncate(clients.len());
+    for (i, c) in clients.iter().enumerate() {
+        if cache.get(i).is_some_and(|&(key, at, _)| key == c.key && at == interval) {
+            continue;
+        }
+        let entry = (c.key, interval, ping.client_window(c.key, interval));
+        match cache.get_mut(i) {
+            Some(slot) => *slot = entry,
+            None => cache.push(entry),
+        }
+    }
+}
+
 /// Answers (or drops) one client's ping against the tick snapshot into
 /// `out`. The serial path, the delayed-send path and every pool worker
 /// run exactly this function, and its observations are byte-identical to
 /// converting a full `ping_client` wire response (regression-tested) — it
-/// just skips materializing the response, rendering observations straight
-/// from the snapshot via the fused per-tier kernel.
+/// just skips materializing the response, copying each shown car's row
+/// from the tick's render table.
 ///
 /// `out` is overwritten block by block, reusing its per-tier `cars`
 /// vectors. Clients see the same tier list every tick, so in steady state
 /// nothing here allocates; when the tier count shrinks the surplus blocks
 /// retire into `spare`, and a growing tier count reclaims from it before
 /// allocating.
-#[allow(clippy::too_many_arguments)]
 fn ping_one_into(
-    ping: &PingConfig,
-    snap: &WorldSnapshot,
-    proj: &LocalProjection,
+    tick: &TickPing<'_>,
     c: &ClientSpec,
+    window: Option<JitterWindow>,
     outcome: FaultOutcome,
     scratch: &mut PingScratch,
     spare: &mut Vec<TypeObservation>,
@@ -357,8 +451,8 @@ fn ping_one_into(
         // Delivered now or later, the answer is frozen against the
         // send-time snapshot — a delayed response carries stale data.
         // (A dropped ping is never answered: nothing to compute.)
-        let loc = proj.to_latlng(c.position);
-        ping.ping_visit(snap, c.key, loc, scratch, |tier| {
+        let loc = tick.proj.to_latlng(c.position);
+        tick.ping.ping_visit(tick.snap, loc, tick.delay, window, scratch, |tier| {
             if n == out.len() {
                 out.push(spare.pop().unwrap_or_else(|| TypeObservation {
                     car_type: tier.car_type,
@@ -375,11 +469,8 @@ fn ping_one_into(
             block.ewt_min = tier.ewt_min;
             block.surge = tier.surge;
             block.cars.clear();
-            block.cars.extend(tier.cars().map(|(id, position, path)| ObservedCar {
-                id,
-                position: proj.to_meters(position),
-                displacement: path.displacement(proj),
-            }));
+            let rows = tick.table.tier(tier.tier);
+            block.cars.extend(tier.nearest().map(|i| rows[i]));
             n += 1;
         });
     }
@@ -393,6 +484,7 @@ impl MeasuredSystem for UberSystem {
         // Pings and probes drop their snapshot handles within the tick,
         // so the arena reclaims the shell before the world moves.
         self.snaps.release();
+        self.table_fresh = false;
         self.marketplace.tick();
         self.transport.advance_tick();
     }
@@ -443,6 +535,15 @@ impl MeasuredSystem for UberSystem {
         self.metrics.pings_dropped.add(dropped);
 
         let ping = self.api.ping_config();
+        if !self.table_fresh {
+            // Uniquely owned except when a pool worker still holds last
+            // tick's table; only then does `make_mut` copy it.
+            Arc::make_mut(&mut self.table).render(&snap, &ping, &proj);
+            self.table_fresh = true;
+        }
+        let interval = snap.now().surge_interval();
+        refresh_windows(&mut self.windows, &ping, clients, interval);
+        let delay = ping.client_delay(interval);
         let threads = self.parallelism.min(clients.len().max(1)).max(1);
         out.resize_with(clients.len(), Vec::new);
         out.truncate(clients.len());
@@ -452,19 +553,19 @@ impl MeasuredSystem for UberSystem {
             // response goes into a fresh vector (it must outlive this tick
             // inside the in-flight queue), built from the slot's retired
             // blocks, and the slot is left empty.
+            let tick =
+                TickPing { ping: &ping, snap: &snap, table: &self.table, proj: &proj, delay };
             let scratch = &mut self.scratch;
             let transport = &mut self.transport;
             let spare = &mut self.spare_blocks;
-            let fresh = clients.iter().zip(&self.outcomes).zip(out.iter_mut());
-            for (i, ((c, &oc), slot)) in fresh.enumerate() {
+            let fresh = clients.iter().zip(&self.windows).zip(&self.outcomes).zip(out.iter_mut());
+            for (i, (((c, &(_, _, w)), &oc), slot)) in fresh.enumerate() {
                 match oc {
-                    FaultOutcome::Deliver => {
-                        ping_one_into(&ping, &snap, &proj, c, oc, scratch, spare, slot)
-                    }
+                    FaultOutcome::Deliver => ping_one_into(&tick, c, w, oc, scratch, spare, slot),
                     FaultOutcome::Delay(d) => {
                         spare.append(slot);
                         let mut resp = Vec::new();
-                        ping_one_into(&ping, &snap, &proj, c, oc, scratch, spare, &mut resp);
+                        ping_one_into(&tick, c, w, oc, scratch, spare, &mut resp);
                         transport.send_delayed(i, ticks_late(d, tick_secs), resp);
                     }
                     FaultOutcome::Drop => spare.append(slot),
@@ -478,7 +579,16 @@ impl MeasuredSystem for UberSystem {
                 self.pool = Some(PingPool::new(threads));
             }
             let pool = self.pool.as_ref().expect("just populated");
-            let mut answered = pool.run(&snap, ping, proj, clients, &self.outcomes);
+            let mut answered = pool.run(
+                &snap,
+                &self.table,
+                ping,
+                proj,
+                delay,
+                clients,
+                &self.windows,
+                &self.outcomes,
+            );
 
             // Serial post-pass in client order: route each answered
             // response to its destination — now, or the in-flight queue.

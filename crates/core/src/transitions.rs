@@ -107,14 +107,13 @@ impl TransitionTracker {
         }
     }
 
-    /// Records a car sighting during the open interval.
-    pub fn observe(&mut self, id: u64, position: Meters) {
-        for (ai, poly) in self.areas.iter().enumerate() {
-            if poly.contains(position) {
-                self.cur_sets[ai].insert(id);
-                break;
-            }
-        }
+    /// Records a car sighting during the open interval, returning the
+    /// index of the area it falls in (the first whose polygon contains
+    /// it), if any, so callers need not resolve it again.
+    pub fn observe(&mut self, id: u64, position: Meters) -> Option<usize> {
+        let ai = self.areas.iter().position(|poly| poly.contains(position))?;
+        self.cur_sets[ai].insert(id);
+        Some(ai)
     }
 
     /// Closes an interval. `multipliers` are the values in force during

@@ -236,7 +236,7 @@ mod tests {
     /// side of a `SpatialGrid` over the same points in id order.
     #[test]
     fn matches_brute_force_with_points_outside_the_box() {
-        use crate::spatial::tests::XorShift;
+        use crate::scan::tests::XorShift;
         use crate::{GridScratch, SpatialGrid};
         let (min, max) = (Meters::new(-1_000.0, -1_000.0), Meters::new(1_000.0, 1_000.0));
         let (mut scratch, mut out) = (GridScratch::new(), Vec::new());

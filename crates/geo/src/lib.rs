@@ -20,6 +20,7 @@ mod latlng;
 mod path;
 mod polygon;
 mod project;
+mod scan;
 mod spatial;
 
 pub mod grid;
@@ -29,6 +30,7 @@ pub use latlng::{haversine_m, LatLng, EARTH_RADIUS_M};
 pub use path::PathVector;
 pub use polygon::{BoundingBox, Polygon};
 pub use project::{LocalProjection, Meters, Vec2};
+pub use scan::k_nearest_and_l1_scan;
 pub use spatial::{auto_cell_size, GridScratch, SpatialGrid};
 
 /// Mean walking speed assumed by the surge-avoidance strategy (§6 of the

@@ -303,30 +303,9 @@ pub fn auto_cell_size(points: impl Iterator<Item = Meters>) -> f64 {
 }
 
 #[cfg(test)]
-pub(crate) mod tests {
+mod tests {
     use super::*;
-
-    /// Stable sort of every point by squared distance: ties stay in
-    /// insertion order, the contract the grid must reproduce.
-    pub(crate) fn brute_k(points: &[Meters], pos: Meters, k: usize) -> Vec<usize> {
-        let mut v: Vec<(f64, usize)> =
-            points.iter().enumerate().map(|(i, p)| (p.dist2(pos), i)).collect();
-        v.sort_by(|a, b| a.0.total_cmp(&b.0));
-        v.truncate(k);
-        v.into_iter().map(|(_, i)| i).collect()
-    }
-
-    /// First-strictly-less L1 scan in insertion order, within `max_dist`.
-    pub(crate) fn brute_l1(points: &[Meters], pos: Meters, max_dist: f64) -> Option<(usize, f64)> {
-        let mut best: Option<(usize, f64)> = None;
-        for (i, p) in points.iter().enumerate() {
-            let dist = (p.x - pos.x).abs() + (p.y - pos.y).abs();
-            if dist <= max_dist && best.is_none_or(|(_, bd)| dist < bd) {
-                best = Some((i, dist));
-            }
-        }
-        best
-    }
+    use crate::scan::tests::{brute_k, brute_l1, XorShift};
 
     fn grid_of(points: &[Meters], cell: f64) -> SpatialGrid<()> {
         SpatialGrid::build(points.iter().map(|p| (*p, ())).collect(), cell)
@@ -410,29 +389,6 @@ pub(crate) mod tests {
         }
     }
 
-    /// Tiny deterministic PRNG for the seeded equivalence sweeps (the geo
-    /// crate deliberately has no RNG dependency).
-    pub(crate) struct XorShift(u64);
-    impl XorShift {
-        pub(crate) fn new(seed: u64) -> Self {
-            XorShift(seed.max(1))
-        }
-        pub(crate) fn next_u64(&mut self) -> u64 {
-            let mut x = self.0;
-            x ^= x << 13;
-            x ^= x >> 7;
-            x ^= x << 17;
-            self.0 = x;
-            x
-        }
-        /// Uniform in `[lo, hi)`, coarsely quantized (ties on purpose).
-        pub(crate) fn f64_in(&mut self, lo: f64, hi: f64) -> f64 {
-            let u = (self.next_u64() >> 11) as f64 / (1u64 << 53) as f64;
-            let v = lo + u * (hi - lo);
-            (v / 50.0).round() * 50.0
-        }
-    }
-
     /// The fused kernel answers exactly like the brute-force scans, `k =
     /// 0` included, across 3 seeds with scratch and output buffers reused
     /// across queries — on fresh grids and on one grid `rebuild`-ed in
@@ -475,8 +431,8 @@ pub(crate) mod tests {
 
 #[cfg(test)]
 mod proptests {
-    use super::tests::*;
     use super::*;
+    use crate::scan::tests::{brute_k, brute_l1};
     use proptest::prelude::*;
 
     // Snapped coordinates land points exactly on cell boundaries and
